@@ -31,7 +31,6 @@ from .errors import (
     NotAdmissible,
     NotPrime,
     RepeatedVertex,
-    SignAssignmentFailure,
     Unsupported,
     VertexOverflow,
     WindowTooSmall,
@@ -77,7 +76,6 @@ __all__ = [
     "OmegaWalk",
     "RepeatedVertex",
     "SearchOutcome",
-    "SignAssignmentFailure",
     "SweepReport",
     "Unsupported",
     "VerificationReport",

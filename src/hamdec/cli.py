@@ -267,10 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, HamdecError) as exc:
+    except (UsageError, ValueError, HamdecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

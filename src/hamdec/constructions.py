@@ -16,7 +16,6 @@ from .errors import (
     ConstructionError,
     LengthMultisetMismatch,
     NotAdmissible,
-    SignAssignmentFailure,
     Unsupported,
 )
 from .model import (
@@ -118,39 +117,20 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
 def _assign_signs(k: int, a_list, residue_steps) -> list[int]:
     """Pick signed magnitudes realizing the residue steps, one magnitude each.
 
-    Candidates for a step are the unused magnitudes congruent to the step
-    (positive sign) or its negation (negative sign); smaller magnitudes are
-    preferred, positive sign first, with backtracking if a greedy choice
-    strands a later step.
+    A magnitude realizes a step iff both have the same cyclic length mod k;
+    its sign is + when it is congruent to the step and - otherwise (k is odd
+    and steps are nonzero, so exactly one holds).  Each step takes the
+    smallest unused magnitude of its length; the caller has checked that the
+    two length multisets are equal, so no bucket runs dry.
     """
-    used = [False] * len(a_list)
-    chosen: list[int] = []
-
-    def solve(pos: int) -> bool:
-        if pos == len(residue_steps):
-            return True
-        step = residue_steps[pos]
-        candidates = []
-        for idx, mag in enumerate(a_list):
-            if used[idx]:
-                continue
-            if mag % k == step:
-                candidates.append((mag, 0, idx, mag))
-            if (-mag) % k == step:
-                candidates.append((mag, 1, idx, -mag))
-        for _, _, idx, signed in sorted(candidates):
-            used[idx] = True
-            chosen.append(signed)
-            if solve(pos + 1):
-                return True
-            chosen.pop()
-            used[idx] = False
-        return False
-
-    if not solve(0):
-        raise SignAssignmentFailure(
-            f"no sign assignment of {a_list} realizes residue steps {residue_steps} mod {k}")
-    return chosen
+    by_length: dict[int, list[int]] = {}
+    for mag in sorted(a_list, reverse=True):
+        by_length.setdefault(circular_length(0, mag, k), []).append(mag)
+    signed = []
+    for step in residue_steps:
+        mag = by_length[circular_length(0, step, k)].pop()
+        signed.append(mag if mag % k == step else -mag)
+    return signed
 
 
 def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertificate:

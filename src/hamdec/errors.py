@@ -55,10 +55,6 @@ class LengthMultisetMismatch(HamdecError):
     """A cyclic path's edge-length multiset does not match the requirement."""
 
 
-class SignAssignmentFailure(HamdecError):
-    """No signed assignment of step magnitudes realizes the required residues."""
-
-
 class CongruenceViolation(HamdecError):
     """Supplied generators do not satisfy the required residue pattern."""
 

@@ -7,8 +7,7 @@ produce byte-identical text.
 """
 from __future__ import annotations
 
-from .model import DecompositionCertificate
-from .verifier import _materialize
+from .model import DecompositionCertificate, materialize_edges
 
 FORMATS = ("dot", "svg")
 
@@ -16,7 +15,7 @@ FORMATS = ("dot", "svg")
 def path_edges_in_range(cert: DecompositionCertificate, lo: int, hi: int
                         ) -> list[list[tuple[int, int]]]:
     """Edges of each Hamilton path with both endpoints in [lo, hi], sorted."""
-    return [sorted(_materialize(cert, o, lo, hi)) for o in cert.offsets]
+    return [sorted(materialize_edges(cert, o, lo, hi)) for o in cert.offsets]
 
 
 def _stroke_color(j: int, total: int) -> str:

@@ -196,6 +196,23 @@ class DecompositionCertificate:
         object.__setattr__(self, "offsets", offs)
 
 
+def materialize_edges(cert: DecompositionCertificate, offset: int,
+                      lo: int, hi: int) -> list[tuple[int, int]]:
+    """All edges of the Hamilton path ``H + offset`` with both endpoints in [lo, hi].
+
+    ``H`` is the union of the starter's period-translates; edges come starter
+    edge by starter edge, each in increasing translate order.
+    """
+    n = cert.period
+    edges = []
+    for u, v in cert.starter.edges():
+        i_min = -((u + offset - lo) // n)  # ceil((lo - u - offset) / n)
+        i_max = (hi - v - offset) // n
+        for i in range(i_min, i_max + 1):
+            edges.append((u + n * i + offset, v + n * i + offset))
+    return edges
+
+
 @dataclasses.dataclass(frozen=True)
 class LengthMultiset:
     """A multiset of modulus-1 many edge lengths drawn from 1..modulus//2."""

@@ -12,7 +12,7 @@ import dataclasses
 from collections import Counter
 
 from .admissibility import analyze
-from .model import DecompositionCertificate
+from .model import DecompositionCertificate, materialize_edges
 from .errors import WindowTooSmall
 
 PATH_BROKEN = "PathBroken"
@@ -46,7 +46,11 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
     4. for each length d in S+, the starter's length-d edge residues,
        translated by every offset, tile the residues mod period exactly,
        which makes the offset translates edge-disjoint and collectively
-       exhaustive of all length-d edges;
+       exhaustive of all length-d edges.  The check runs mod g = period/m,
+       where m is the largest common divisor of the period and the number
+       of distinct offsets such that the offsets are a union of classes
+       mod g: the residues tile Z_period iff they tile Z_g with the offsets
+       taken mod g (g = period for offsets without such structure);
     5. the offsets are distinct mod period.
 
     For certificates of this shape the five conditions are sound and
@@ -91,12 +95,22 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
     if foreign:
         failures.append(FOREIGN_EDGE_LENGTH)
 
+    # The distinct offsets O are a union of classes mod g, where g = n/m for
+    # the largest common divisor m of |O| and n that allows it, so A + O is
+    # the preimage in Z_n of the cells A + (O mod g) of Z_g and has
+    # |cells| * n/g residues.  The work is bounded by the starter and the
+    # offsets, never by the period.
+    distinct = set(cert.offsets)
+    g = next(n // m for m in range(len(distinct), 0, -1)
+             if len(distinct) % m == 0 and n % m == 0
+             and len({o % (n // m) for o in distinct}) * m == len(distinct))
+    classes = {o % g for o in distinct}
     overlap = gap = False
     for d in s_plus:
-        combined = Counter((r + o) % n for r in tables[d] for o in cert.offsets)
-        if any(c > 1 for c in combined.values()):
+        cells = {(r + o) % g for r in tables[d] for o in classes}
+        if len(tables[d]) * len(cert.offsets) > len(cells) * (n // g):
             overlap = True
-        if len(combined) < n:
+        if len(cells) < g:
             gap = True
     if overlap:
         failures.append(LENGTH_RESIDUE_OVERLAP)
@@ -128,23 +142,6 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
 class WindowCheck:
     accepted: bool
     failure: str | None = None
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _materialize(cert: DecompositionCertificate, offset: int,
-                 lo: int, hi: int) -> list[tuple[int, int]]:
-    """All edges of one Hamilton path translate with both endpoints in [lo, hi]."""
-    n = cert.period
-    edges = []
-    for u, v in cert.starter.edges():
-        i_min = _ceil_div(lo - u - offset, n)
-        i_max = (hi - v - offset) // n
-        for i in range(i_min, i_max + 1):
-            edges.append((u + n * i + offset, v + n * i + offset))
-    return edges
 
 
 class _UnionFind:
@@ -193,7 +190,7 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     if core_hi < core_lo:
         raise WindowTooSmall("core sub-window is empty; increase periods")
 
-    paths = [_materialize(cert, o, w_lo, w_hi) for o in cert.offsets]
+    paths = [materialize_edges(cert, o, w_lo, w_hi) for o in cert.offsets]
 
     # Degree 2 at every core vertex, per path.  Core vertices keep all their
     # true neighbours inside the slab, so slab degree equals true degree.

@@ -55,6 +55,40 @@ def is_hamilton_with_lengths(witness, k: int, lengths) -> bool:
     return found == Counter(lengths)
 
 
+def reference_failures(cert: DecompositionCertificate) -> tuple[str, ...]:
+    """The exact verifier's failure kinds, recomputed the direct way.
+
+    Condition (4) counts every translate ``(r + o) mod period`` of every
+    length-d residue r by every offset o, with no reduction mod a divisor.
+    """
+    n, vs = cert.period, cert.starter.vertices
+    failures = []
+    if len(vs) - 1 != n:
+        failures.append("PathBroken")
+    lo, hi = sorted((vs[0], vs[-1]))
+    if hi - lo != n or lo % n != 0:
+        failures.append("EndpointMismatch")
+    counts = Counter(v % n for v in vs)
+    end = vs[0] % n
+    if not (counts[end] == 2 and vs[-1] % n == end and len(counts) == n
+            and all(c == 1 for r, c in counts.items() if r != end)):
+        failures.append("ResidueCoverage")
+    tables = {d: [] for d in cert.connection_set.s_plus}
+    for u, v in cert.starter.edges():
+        tables.setdefault(v - u, []).append(u % n)
+    if set(tables) != set(cert.connection_set.s_plus):
+        failures.append("ForeignEdgeLength")
+    combined = [Counter((r + o) % n for r in tables[d] for o in cert.offsets)
+                for d in cert.connection_set.s_plus]
+    if any(c > 1 for counter in combined for c in counter.values()):
+        failures.append("LengthResidueOverlap")
+    if any(len(counter) < n for counter in combined):
+        failures.append("LengthResidueGap")
+    if len(set(cert.offsets)) != len(cert.offsets):
+        failures.append("OffsetCollision")
+    return tuple(failures)
+
+
 def mutate(cert: DecompositionCertificate, rng: random.Random) -> list[DecompositionCertificate]:
     """One mutant per mutation kind: vertex swap, offset change, vertex splice."""
     mutants = []

@@ -42,6 +42,13 @@ class TestConstruct:
         assert payload["starter_vertices"] == [0, -1, 1, 5, 2, 3, 6, 4, 8]
         assert payload["schema_version"] == "1"
 
+    def test_consecutive_1001(self, capsys, tmp_path):
+        out_file = tmp_path / "cert.json"
+        code, out, _ = run(capsys, "construct", "--set", ",".join(map(str, range(1, 1002))),
+                           "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out_file.read_text())["period"] == 2002
+
     def test_skip_k(self, capsys):
         code, out, _ = run(capsys, "construct", "--set", "1,2,4")
         assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 import helpers
 from hamdec import (
+    CertificateDocument,
     CongruenceViolation,
     ConnectionSet,
     FinitePath,
@@ -132,6 +134,20 @@ class TestConsecutive:
         for k in (2, 3, 6, 7, 10, 11):
             with pytest.raises(NotAdmissible):
                 construct_consecutive(k)
+
+    @pytest.mark.parametrize("k, digest", [
+        (997, "43e91d81338a1eed3533b0f1dc10ff24f1749b0fa6fc5d440e054dd18c06f585"),
+        (1001, "b8bd8f24af3d7e43414a190bbe5ca104a8f84affb206bf86fec82d8ceb6cae85"),
+        (1101, "73c5af6397d593efbb94d0adbdecdc2533ec8a1e2c96df8b21ccd6349d416b83"),
+    ])
+    def test_large_lift_documents(self, k, digest):
+        # k = 1 mod 4 goes through the Z_k lift with k - 1 magnitudes; these
+        # sizes exceed the default recursion limit, and the digests pin the
+        # certificate documents byte for byte.
+        cert = construct_consecutive(k)
+        doc = CertificateDocument.from_certificate(
+            cert, provenance=f"consecutive(S+={cert.connection_set})").to_json()
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("k", [8, 12, 16, 20])
     def test_edge_listing_for_k_divisible_by_4(self, k):

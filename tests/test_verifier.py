@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from hamdec import (
@@ -81,10 +83,54 @@ class TestVerifyCertificate:
             n, k = cert.period, len(cert.connection_set)
             assert all(len(rs) == n // k for rs in report.residue_tables.values())
 
+    def test_huge_period_is_checked_in_starter_time(self):
+        cert = DecompositionCertificate(
+            ConnectionSet([1, 3]), 10**15, FinitePath((0, 1, 4)), (0, 1))
+        start = time.perf_counter()
+        report = verify_certificate(cert)
+        assert time.perf_counter() - start < 1.0
+        assert report.failures == (
+            "PathBroken", "EndpointMismatch", "ResidueCoverage", "LengthResidueGap")
+
     def test_accepted_implies_admissible(self):
         for cert in helpers.family_corpus(four_valent_max_b=15, one_two_c_max=20):
             if verify_certificate(cert).accepted:
                 assert analyze(cert.connection_set).admissible
+
+
+MUTANT_BASES = helpers.family_corpus(four_valent_max_b=15, consecutive_max_k=13,
+                                     skip_max_k=11, even_run_max_t=8,
+                                     one_two_c_max=16, walecki_ks=(3, 5))
+
+
+@st.composite
+def verifier_mutants(draw):
+    """A valid certificate with its offsets, period or starter changed."""
+    cert = draw(st.sampled_from(MUTANT_BASES))
+    n, offsets, vs = cert.period, list(cert.offsets), list(cert.starter.vertices)
+    kind = draw(st.sampled_from(["duplicate", "subset", "subgroup", "period", "swap"]))
+    if kind == "duplicate":
+        offsets += draw(st.lists(st.sampled_from(offsets), min_size=1, max_size=3))
+    elif kind == "subset":
+        offsets = draw(st.lists(st.sampled_from(offsets), min_size=1, unique=True))
+    elif kind == "subgroup":
+        # A union of cosets of the subgroup of order m.
+        m = draw(st.sampled_from([m for m in range(1, n + 1) if n % m == 0]))
+        shifts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        offsets = sorted({(t + i * (n // m)) % n for t in shifts for i in range(m)})
+    elif kind == "period":
+        n = draw(st.integers(1, 3 * n))
+        offsets = sorted({o % n for o in offsets})
+    else:
+        i, j = draw(st.lists(st.integers(0, len(vs) - 1), min_size=2, max_size=2, unique=True))
+        vs[i], vs[j] = vs[j], vs[i]
+    return DecompositionCertificate(cert.connection_set, n, FinitePath(vs), offsets)
+
+
+@given(verifier_mutants())
+@settings(max_examples=400, deadline=None)
+def test_failures_match_reference(cert):
+    assert verify_certificate(cert).failures == helpers.reference_failures(cert)
 
 
 class TestWindowOracle:
