@@ -33,6 +33,7 @@ from .errors import (
     RepeatedVertex,
     Unsupported,
     VertexOverflow,
+    WindowTooLarge,
     WindowTooSmall,
 )
 from .figures import render_dot, render_figure, render_svg
@@ -81,6 +82,7 @@ __all__ = [
     "VerificationReport",
     "VertexOverflow",
     "WindowCheck",
+    "WindowTooLarge",
     "WindowTooSmall",
     "analyze",
     "circular_length",

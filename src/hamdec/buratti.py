@@ -17,7 +17,6 @@ import math
 import random
 import time
 from collections.abc import Iterable, Iterator, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations_with_replacement
 
 from .errors import BadMultisetSize, NotPrime
@@ -111,6 +110,26 @@ def enumerate_multisets(p: int) -> Iterator[tuple[int, ...]]:
     return combinations_with_replacement(range(1, (p - 1) // 2 + 1), p - 1)
 
 
+def unrank_multiset(p: int, index: int) -> tuple[int, ...]:
+    """The multiset at position ``index`` of ``enumerate_multisets(p)``, without enumerating.
+
+    Each slot takes the smallest value whose block of continuations still
+    contains the index; a block is counted by stars and bars.
+    """
+    values = (p - 1) // 2
+    out: list[int] = []
+    value = 1
+    for left in range(p - 2, -1, -1):  # slots still to fill after this one
+        while True:
+            block = math.comb(left + values - value, left)
+            if index < block:
+                break
+            index -= block
+            value += 1
+        out.append(value)
+    return tuple(out)
+
+
 def _search_task(task: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, ...] | None, int, float]:
     k, lengths = task
     outcome = find_path(k, lengths)
@@ -148,8 +167,7 @@ def sweep(p: int, *, sample: int | None = None, seed: int = 0, jobs: int = 1) ->
 
     if sample is not None and sample < total:
         rng = random.Random(seed)
-        picked = set(rng.sample(range(total), sample))
-        multisets = [m for i, m in enumerate(enumerate_multisets(p)) if i in picked]
+        multisets = [unrank_multiset(p, i) for i in sorted(rng.sample(range(total), sample))]
         sampled = True
     else:
         multisets = list(enumerate_multisets(p))
@@ -157,6 +175,7 @@ def sweep(p: int, *, sample: int | None = None, seed: int = 0, jobs: int = 1) ->
 
     tasks = [(p, m) for m in multisets]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported late: costs every CLI start
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_search_task, tasks, chunksize=max(1, len(tasks) // (jobs * 8) or 1)))
     else:

@@ -7,6 +7,10 @@ Exit codes, relied on by scripts:
 * 2: input error (unparseable flags or files, bad sizes, bad ranges)
 * 3: admissible but no known construction family applies
 * 4: search exhausted (no path) or sweep found failing multisets
+* 70: internal error, an unexpected exception (sysexits EX_SOFTWARE); one
+  ``internal error: <type>: <message>`` line goes to stderr
+
+Code 5 is reserved for a search node budget.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from .errors import (
     NotPrime,
     RepeatedVertex,
     Unsupported,
+    WindowTooLarge,
     WindowTooSmall,
 )
 from .model import ConnectionSet
@@ -38,6 +43,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_EXHAUSTED = 4
+EXIT_INTERNAL = 70
 
 
 class UsageError(Exception):
@@ -147,7 +153,7 @@ def cmd_verify(args) -> int:
         print(f"failures: {', '.join(report.failures)}")
     try:
         check = window_oracle(cert, args.window_periods)
-    except WindowTooSmall as exc:
+    except (WindowTooSmall, WindowTooLarge) as exc:
         print(f"window oracle: {exc}")
         return EXIT_USAGE
     print(f"window oracle ({args.window_periods} periods): "
@@ -270,6 +276,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, HamdecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, never a negative result: keep it off exit code 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

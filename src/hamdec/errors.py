@@ -67,6 +67,10 @@ class WindowTooSmall(HamdecError):
     """The requested window cannot hold enough structure to check anything."""
 
 
+class WindowTooLarge(HamdecError):
+    """The requested window would hold more edges than the package materializes."""
+
+
 class ConstructionError(HamdecError):
     """Internal error: a constructor produced a certificate that fails verification."""
 

@@ -15,7 +15,7 @@ FORMATS = ("dot", "svg")
 def path_edges_in_range(cert: DecompositionCertificate, lo: int, hi: int
                         ) -> list[list[tuple[int, int]]]:
     """Edges of each Hamilton path with both endpoints in [lo, hi], sorted."""
-    return [sorted(materialize_edges(cert, o, lo, hi)) for o in cert.offsets]
+    return [sorted(edges) for edges in materialize_edges(cert, lo, hi)]
 
 
 def _stroke_color(j: int, total: int) -> str:

@@ -17,10 +17,16 @@ from .errors import (
     EmptyConnectionSet,
     RepeatedVertex,
     VertexOverflow,
+    WindowTooLarge,
 )
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+
+# The most edges ``materialize_edges`` builds in one call, counted as an upper
+# bound before any is built; far above any window the test suite or the
+# benchmark asks for (under 40,000 edges each).
+MAX_WINDOW_EDGES = 2_000_000
 
 
 def _check_vertex(v: int) -> int:
@@ -196,21 +202,25 @@ class DecompositionCertificate:
         object.__setattr__(self, "offsets", offs)
 
 
-def materialize_edges(cert: DecompositionCertificate, offset: int,
-                      lo: int, hi: int) -> list[tuple[int, int]]:
-    """All edges of the Hamilton path ``H + offset`` with both endpoints in [lo, hi].
+def materialize_edges(cert: DecompositionCertificate, lo: int, hi: int
+                      ) -> list[list[tuple[int, int]]]:
+    """Per offset, in ``cert.offsets`` order, the edges of ``H + offset`` inside [lo, hi].
 
-    ``H`` is the union of the starter's period-translates; edges come starter
-    edge by starter edge, each in increasing translate order.
+    ``H`` is the union of the starter's period-translates; each list runs
+    starter edge by starter edge, each in increasing translate order.  A window
+    that may hold more than ``MAX_WINDOW_EDGES`` edges raises WindowTooLarge first.
     """
     n = cert.period
-    edges = []
-    for u, v in cert.starter.edges():
-        i_min = -((u + offset - lo) // n)  # ceil((lo - u - offset) / n)
-        i_max = (hi - v - offset) // n
-        for i in range(i_min, i_max + 1):
-            edges.append((u + n * i + offset, v + n * i + offset))
-    return edges
+    bound = len(cert.offsets) * cert.starter.edge_count * ((hi - lo) // n + 1)
+    if bound > MAX_WINDOW_EDGES:
+        raise WindowTooLarge(
+            f"window {lo}..{hi} may hold {bound} edges, more than the cap of {MAX_WINDOW_EDGES}")
+    paths = [[] for _ in cert.offsets]
+    for edges, offset in zip(paths, cert.offsets):
+        for u, v in cert.starter.edges():
+            first = u + offset - n * ((u + offset - lo) // n)  # the first translate >= lo
+            edges += zip(range(first, hi - v + u + 1, n), range(first + v - u, hi + 1, n))
+    return paths
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from itertools import chain, filterfalse, islice, repeat
 
 from .admissibility import analyze
 from .model import DecompositionCertificate, materialize_edges
@@ -144,28 +145,6 @@ class WindowCheck:
     failure: str | None = None
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the classes of x and y; False if they were already merged."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
 def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     """Brute-force check on the finite slab [-periods*n, periods*n].
 
@@ -190,49 +169,58 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     if core_hi < core_lo:
         raise WindowTooSmall("core sub-window is empty; increase periods")
 
-    paths = [materialize_edges(cert, o, w_lo, w_hi) for o in cert.offsets]
+    paths = materialize_edges(cert, w_lo, w_hi)
 
     # Degree 2 at every core vertex, per path.  Core vertices keep all their
-    # true neighbours inside the slab, so slab degree equals true degree.
+    # true neighbours inside the slab, so slab degree equals true degree.  A
+    # core of more vertices than the path has edges fails: only scan it then.
+    core = range(core_lo, core_hi + 1)
     for edges in paths:
-        degree = Counter()
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        for x in range(core_lo, core_hi + 1):
-            if degree.get(x, 0) != 2:
-                return WindowCheck(False, f"vertex {x} has degree {degree.get(x, 0)}")
+        degree = Counter(chain.from_iterable(edges))
+        if (core_hi - core_lo >= len(edges)
+                or list(map(degree.get, core, repeat(0))).count(2) != len(core)):
+            x = next(x for x in core if degree.get(x, 0) != 2)
+            return WindowCheck(False, f"vertex {x} has degree {degree.get(x, 0)}")
 
     # Acyclic inside the slab, and the core vertices lie on one connected
     # piece.  Any translate touching the connectivity core must fit in the
     # slab entirely, so the core shrinks with the starter's span; a starter
     # spanning more than the slab leaves nothing to check and the condition
-    # holds vacuously.
+    # holds vacuously.  Union-find with path halving, over x - w_lo.
     span = max(cert.starter.vertices) - min(cert.starter.vertices)
     conn_hi = min(core_hi, w_hi - span)
-    conn_lo = -conn_hi
     for edges in paths:
-        uf = _UnionFind()
+        parent = list(range(w_hi - w_lo + 1))
         for u, v in edges:
-            if not uf.union(u, v):
+            u, v = u - w_lo, v - w_lo
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
                 return WindowCheck(False, "cycle inside the window")
-        if conn_hi >= conn_lo:
-            roots = {uf.find(x) for x in range(conn_lo, conn_hi + 1)}
-            if len(roots) > 1:
-                return WindowCheck(False, "path is disconnected inside the window")
+            parent[u] = v
+        roots = set()
+        for x in range(-conn_hi - w_lo, conn_hi - w_lo + 1):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            roots.add(x)
+        if len(roots) > 1:
+            return WindowCheck(False, "path is disconnected inside the window")
 
-    # Pairwise edge-disjoint, and every graph edge inside the core is used
-    # exactly once.
+    # Pairwise edge-disjoint (each path is a forest, so repeats no edge of its
+    # own), and every graph edge inside the core is used exactly once; of the
+    # first uncovered edge of each length, the smallest comes first x-major.
     seen: set[tuple[int, int]] = set()
     for edges in paths:
-        for e in edges:
-            if e in seen:
-                return WindowCheck(False, f"edge {e} used by two paths")
-            seen.add(e)
-    for x in range(core_lo, core_hi + 1):
-        for d in s_plus:
-            if x + d <= core_hi and (x, x + d) not in seen:
-                return WindowCheck(False, f"edge ({x}, {x + d}) not covered")
+        if not seen.isdisjoint(edges):
+            e = next(e for e in edges if e in seen)
+            return WindowCheck(False, f"edge {e} used by two paths")
+        seen.update(edges)
+    missing = [e for d in s_plus for e in islice(
+        filterfalse(seen.__contains__, zip(core, range(core_lo + d, core_hi + 1))), 1)]
+    if missing:
+        return WindowCheck(False, f"edge {min(missing)} not covered")
 
     return WindowCheck(True)
 

@@ -10,6 +10,8 @@ from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
     FinitePath,
+    WindowCheck,
+    WindowTooSmall,
     circular_length,
     construct_4valent,
     construct_consecutive,
@@ -87,6 +89,118 @@ def reference_failures(cert: DecompositionCertificate) -> tuple[str, ...]:
     if len(set(cert.offsets)) != len(cert.offsets):
         failures.append("OffsetCollision")
     return tuple(failures)
+
+
+def reference_materialize_edges(cert: DecompositionCertificate, offset: int,
+                                lo: int, hi: int) -> list[tuple[int, int]]:
+    """All edges of the Hamilton path ``H + offset`` with both endpoints in [lo, hi].
+
+    ``H`` is the union of the starter's period-translates; edges come starter
+    edge by starter edge, each in increasing translate order.
+    """
+    n = cert.period
+    edges = []
+    for u, v in cert.starter.edges():
+        i_min = -((u + offset - lo) // n)  # ceil((lo - u - offset) / n)
+        i_max = (hi - v - offset) // n
+        for i in range(i_min, i_max + 1):
+            edges.append((u + n * i + offset, v + n * i + offset))
+    return edges
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the classes of x and y; False if they were already merged."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True
+
+
+def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
+    """The window oracle written edge by edge, as a reference for ``window_oracle``.
+
+    Brute-force check on the finite slab [-periods*n, periods*n].
+
+    Materializes every Hamilton path restricted to the slab and checks, inside
+    a core sub-window where no boundary effect can bite: degree exactly 2 per
+    path, no cycles, a single connected piece per path, pairwise edge
+    disjointness, and that every graph edge is covered exactly once.
+    """
+    if periods < 3:
+        raise ValueError("periods must be at least 3")
+    n = cert.period
+    s_plus = cert.connection_set.s_plus
+    max_s = s_plus[-1]
+    if periods * n < 2 * max_s:
+        raise WindowTooSmall(
+            f"window of {periods} periods ({periods * n}) cannot hold edges of length {max_s}")
+
+    w_hi = periods * n
+    w_lo = -w_hi
+    core_hi = (periods - 1) * n - max_s
+    core_lo = -core_hi
+    if core_hi < core_lo:
+        raise WindowTooSmall("core sub-window is empty; increase periods")
+
+    paths = [reference_materialize_edges(cert, o, w_lo, w_hi) for o in cert.offsets]
+
+    # Degree 2 at every core vertex, per path.  Core vertices keep all their
+    # true neighbours inside the slab, so slab degree equals true degree.
+    for edges in paths:
+        degree = Counter()
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        for x in range(core_lo, core_hi + 1):
+            if degree.get(x, 0) != 2:
+                return WindowCheck(False, f"vertex {x} has degree {degree.get(x, 0)}")
+
+    # Acyclic inside the slab, and the core vertices lie on one connected
+    # piece.  Any translate touching the connectivity core must fit in the
+    # slab entirely, so the core shrinks with the starter's span; a starter
+    # spanning more than the slab leaves nothing to check and the condition
+    # holds vacuously.
+    span = max(cert.starter.vertices) - min(cert.starter.vertices)
+    conn_hi = min(core_hi, w_hi - span)
+    conn_lo = -conn_hi
+    for edges in paths:
+        uf = _UnionFind()
+        for u, v in edges:
+            if not uf.union(u, v):
+                return WindowCheck(False, "cycle inside the window")
+        if conn_hi >= conn_lo:
+            roots = {uf.find(x) for x in range(conn_lo, conn_hi + 1)}
+            if len(roots) > 1:
+                return WindowCheck(False, "path is disconnected inside the window")
+
+    # Pairwise edge-disjoint, and every graph edge inside the core is used
+    # exactly once.
+    seen: set[tuple[int, int]] = set()
+    for edges in paths:
+        for e in edges:
+            if e in seen:
+                return WindowCheck(False, f"edge {e} used by two paths")
+            seen.add(e)
+    for x in range(core_lo, core_hi + 1):
+        for d in s_plus:
+            if x + d <= core_hi and (x, x + d) not in seen:
+                return WindowCheck(False, f"edge ({x}, {x + d}) not covered")
+
+    return WindowCheck(True)
 
 
 def mutate(cert: DecompositionCertificate, rng: random.Random) -> list[DecompositionCertificate]:

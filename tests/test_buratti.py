@@ -11,7 +11,7 @@ from hamdec import (
     find_path,
     sweep,
 )
-from hamdec.buratti import enumerate_multisets, multiset_count
+from hamdec.buratti import enumerate_multisets, multiset_count, unrank_multiset
 
 
 class TestFindPath:
@@ -101,6 +101,13 @@ class TestSweep:
     def test_counts_match_stars_and_bars(self):
         for p in (3, 5, 7, 11):
             assert multiset_count(p) == sum(1 for _ in enumerate_multisets(p))
+
+    def test_unrank_matches_enumeration(self):
+        for p in (3, 5, 7, 11, 13):
+            assert [unrank_multiset(p, i) for i in range(multiset_count(p))] == \
+                   list(enumerate_multisets(p))
+        assert unrank_multiset(31, 0) == (1,) * 30
+        assert unrank_multiset(31, multiset_count(31) - 1) == (15,) * 30
 
     def test_sampling_is_seeded_and_stable(self):
         a = sweep(11, sample=50, seed=4)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import hamdec
 from hamdec import CertificateDocument, construct, ConnectionSet
 from hamdec.cli import main
 
@@ -114,6 +120,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--cert", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_huge_window_exit_2(self, capsys, tmp_path):
+        path, _ = self.make_cert_file(tmp_path)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--cert", str(path), "--window-periods", "2000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert "exact check: accepted" in out
+        assert "window oracle: " in out and "more than the cap" in out
+
 
 class TestBuratti:
     def test_k9_shorthand_exhausted_exit_4(self, capsys):
@@ -150,6 +165,14 @@ class TestBuratti:
     def test_requires_one_mode(self, capsys):
         code, _, err = run(capsys, "buratti", "--k", "5")
         assert code == 2
+
+    def test_crash_exit_70(self, capsys):
+        # The recursive search overflows Python's recursion limit here; a
+        # crash must not read as the negative result of exit code 1.
+        code, _, err = run(capsys, "buratti", "--k", "1001", "--lengths", "1x1000")
+        assert code == 70
+        assert err.startswith("internal error: RecursionError: ")
+        assert err.count("\n") == 1
 
 
 class TestFigure:
@@ -198,6 +221,20 @@ class TestFigure:
         code, _, _ = run(capsys, "figure", "--cert", str(cert_file),
                          "--range", "abc", "--format", "svg")
         assert code == 2
+
+    def test_huge_range_exit_2(self, capsys, cert_file):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "figure", "--cert", str(cert_file), "--range=0..50000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert "more than the cap" in err
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = "import sys, hamdec.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestDocumentRoundTrip:

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
+from hamdec import model
 from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
@@ -11,6 +13,7 @@ from hamdec import (
     OmegaWalk,
     RepeatedVertex,
     VertexOverflow,
+    WindowTooLarge,
     circular_length,
     edge_length_multiset,
     realize,
@@ -129,3 +132,32 @@ def test_circular_length():
     assert circular_length(0, 8, 9) == 1
     assert circular_length(2, 7, 9) == 4
     assert circular_length(0, 13, 9) == 4
+
+
+def test_materialize_edges_order():
+    cert = DecompositionCertificate(
+        ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 2, 3, 6)), (0, 3))
+    # Starter edge by starter edge, each in increasing translate order.
+    assert model.materialize_edges(cert, -3, 8) == [
+        [(0, 1), (6, 7), (1, 4), (-2, -1), (4, 5), (2, 5), (2, 3), (-3, 0), (3, 6)],
+        [(-3, -2), (3, 4), (-2, 1), (4, 7), (1, 2), (7, 8), (-1, 2), (5, 8), (-1, 0),
+         (5, 6), (0, 3)],
+    ]
+    for cert in helpers.family_corpus(four_valent_max_b=9, consecutive_max_k=9,
+                                      skip_max_k=11, even_run_max_t=6,
+                                      one_two_c_max=10, walecki_ks=(3, 5)):
+        n = cert.period
+        for lo, hi in ((0, n), (-2 * n - 1, 3 * n + 2), (5, 4 * n + 1)):
+            assert model.materialize_edges(cert, lo, hi) == [
+                helpers.reference_materialize_edges(cert, o, lo, hi) for o in cert.offsets]
+
+
+def test_materialize_edges_cap(monkeypatch):
+    cert = DecompositionCertificate(
+        ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 2, 3, 6)), (0, 3))
+    bound = 2 * 6 * (60 // 6 + 1)  # offsets * starter edges * (window periods + 1)
+    monkeypatch.setattr(model, "MAX_WINDOW_EDGES", bound)
+    assert sum(map(len, model.materialize_edges(cert, 0, 60))) <= bound
+    monkeypatch.setattr(model, "MAX_WINDOW_EDGES", bound - 1)
+    with pytest.raises(WindowTooLarge):
+        model.materialize_edges(cert, 0, 60)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from hamdec import model
 from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
     FinitePath,
+    WindowCheck,
+    WindowTooLarge,
     WindowTooSmall,
     analyze,
     construct_4valent,
@@ -173,6 +176,75 @@ class TestWindowOracle:
             accepted = [window_oracle(cert, p).accepted for p in (3, 5, 8)]
             assert accepted[0]
             assert accepted == sorted(accepted)  # once accepted, stays accepted
+
+
+def oracle_outcome(oracle, cert, periods):
+    try:
+        check = oracle(cert, periods)
+    except WindowTooSmall as exc:
+        return "WindowTooSmall", str(exc)
+    return check.accepted, check.failure
+
+
+ORACLE_BASES = helpers.family_corpus(four_valent_max_b=9, consecutive_max_k=8,
+                                     skip_max_k=7, even_run_max_t=6,
+                                     one_two_c_max=10, walecki_ks=(3,))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A crosscheck-style mutant of a valid certificate, or a random small certificate."""
+    if draw(st.booleans()):
+        cert = draw(st.sampled_from(ORACLE_BASES))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        cert = draw(st.sampled_from([cert] + helpers.mutate(cert, rng)))
+    else:
+        n = draw(st.integers(1, 6))
+        s_plus = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        vs = draw(st.lists(st.integers(-3, n + 3), min_size=2, max_size=n + 4, unique=True))
+        offsets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        cert = DecompositionCertificate(ConnectionSet(s_plus), n, FinitePath(vs), offsets)
+    return cert, draw(st.integers(3, 6))
+
+
+@given(oracle_cases())
+@settings(max_examples=400, deadline=None)
+def test_window_oracle_matches_reference(case):
+    cert, periods = case
+    assert oracle_outcome(window_oracle, cert, periods) == \
+        oracle_outcome(helpers.reference_window_oracle, cert, periods)
+
+
+@pytest.mark.parametrize("s_plus, period, starter, offsets, failure", [
+    ((3,), 2, (1, 4), (0, 1), "vertex -1 has degree 1"),
+    ((1,), 1, (2, 3, -2), (0,), "cycle inside the window"),
+    ((1,), 1, (1, 3), (0,), "path is disconnected inside the window"),
+    ((2,), 2, (0, -1, -2), (0, 1), "edge (-6, -5) used by two paths"),
+    ((1, 3), 2, (2, -1, 4), (1,), "edge (-1, 0) not covered"),
+])
+def test_window_failure_messages(s_plus, period, starter, offsets, failure):
+    cert = DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter), offsets)
+    assert window_oracle(cert, 3) == WindowCheck(False, failure)
+    assert helpers.reference_window_oracle(cert, 3) == WindowCheck(False, failure)
+
+
+def test_window_oracle_refuses_large_window(monkeypatch):
+    cert = construct_4valent(1, 3)
+    assert window_oracle(cert, 5).accepted
+    monkeypatch.setattr(model, "MAX_WINDOW_EDGES", 10)
+    with pytest.raises(WindowTooLarge):
+        window_oracle(cert, 5)
+
+
+def test_window_oracle_huge_period_fails_fast():
+    # The core holds more vertices than any path has edges, so only the
+    # scan for the first vertex of wrong degree runs.
+    cert = DecompositionCertificate(
+        ConnectionSet([1, 3]), 10**15, FinitePath((0, 1, 4)), (0, 1))
+    start = time.perf_counter()
+    check = window_oracle(cert, 3)
+    assert time.perf_counter() - start < 1.0
+    assert check == WindowCheck(False, f"vertex {-(2 * 10**15 - 3)} has degree 0")
 
 
 class TestCrossValidation:
