@@ -9,6 +9,12 @@ step the next edge length is chosen by largest remaining multiplicity first,
 smaller length on ties, and the step in the negative direction is tried
 before the positive one; the first complete path under this order is the
 canonical witness, so results are deterministic.
+
+The search is a loop over one stack of untried moves ``(depth, length,
+vertex)``, so it has no recursion-depth limit.  Expanding a node pushes its
+moves in reverse order, so that they pop in the order above; a popped move
+first unwinds the path to its depth.  The length order is a sort by the int
+key ``d - remaining[d] * k``, updated by ``k`` at every step.
 """
 from __future__ import annotations
 
@@ -53,41 +59,46 @@ def _coerce_multiset(k: int, lengths) -> LengthMultiset:
 def find_path(k: int, lengths: LengthMultiset | Mapping[int, int] | Iterable[int]) -> SearchOutcome:
     """Complete search for a Hamilton path on Z_k realizing the length multiset."""
     multiset = _coerce_multiset(k, lengths)
-    remaining = multiset.as_dict()
+    present = [d for d, _ in multiset.counts]
+    key = [0] * (k // 2 + 1)  # key[d] = d - remaining[d] * k: sorts by (-remaining, d)
+    for d, c in multiset.counts:
+        key[d] = d - c * k
     visited = bytearray(k)
     visited[0] = 1
     path = [0]
+    steps: list[int] = []  # steps[i] is the length of the edge path[i] -> path[i + 1]
     nodes = 0
+    witness = None
     started = time.perf_counter()
 
-    def extend() -> bool:
-        nonlocal nodes
-        if len(path) == k:
-            return True
-        v = path[-1]
-        depth = len(path)
-        order = sorted((d for d, c in remaining.items() if c),
-                       key=lambda d: (-remaining[d], d))
-        for d in order:
-            down = (v - d) % k
-            up = (v + d) % k
-            for w in (down,) if down == up else (down, up):
-                if visited[w]:
-                    continue
-                if depth == 1 and 2 * w > k:
-                    continue
-                nodes += 1
-                visited[w] = 1
-                path.append(w)
-                remaining[d] -= 1
-                if extend():
-                    return True
-                remaining[d] += 1
-                path.pop()
-                visited[w] = 0
-        return False
+    # The root keeps only w = d (2w <= k): the negative step lands above k/2.
+    stack = [(1, d, d) for d in sorted(present, key=key.__getitem__, reverse=True)]
+    while stack:
+        depth, d, w = stack.pop()
+        while len(path) > depth:
+            visited[path.pop()] = 0
+            key[steps.pop()] -= k
+        nodes += 1
+        visited[w] = 1
+        path.append(w)
+        steps.append(d)
+        key[d] += k
+        depth += 1
+        if depth == k:
+            witness = tuple(path)
+            break
+        # Pushed in reverse so that they pop in search order.  Exhausted
+        # lengths sort last, so they come first here.
+        for d in sorted(present, key=key.__getitem__, reverse=True):
+            if key[d] > 0:
+                continue
+            up = (w + d) % k
+            down = (w - d) % k
+            if up != down and not visited[up]:
+                stack.append((depth, d, up))
+            if not visited[down]:
+                stack.append((depth, d, down))
 
-    witness = tuple(path) if extend() else None
     return SearchOutcome(witness=witness, nodes_expanded=nodes,
                          elapsed=time.perf_counter() - started)
 

@@ -68,7 +68,7 @@ class WindowTooSmall(HamdecError):
 
 
 class WindowTooLarge(HamdecError):
-    """The requested window would hold more edges than the package materializes."""
+    """The requested window would hold more edges or vertices than the package materializes."""
 
 
 class ConstructionError(HamdecError):

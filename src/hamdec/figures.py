@@ -7,14 +7,22 @@ produce byte-identical text.
 """
 from __future__ import annotations
 
-from .model import DecompositionCertificate, materialize_edges
+from .errors import WindowTooLarge
+from .model import MAX_WINDOW_EDGES, DecompositionCertificate, materialize_edges
 
 FORMATS = ("dot", "svg")
 
 
 def path_edges_in_range(cert: DecompositionCertificate, lo: int, hi: int
                         ) -> list[list[tuple[int, int]]]:
-    """Edges of each Hamilton path with both endpoints in [lo, hi], sorted."""
+    """Edges of each Hamilton path with both endpoints in [lo, hi], sorted.
+
+    The figures draw one vertex per integer of the range, so a range of more
+    than ``MAX_WINDOW_EDGES`` integers raises WindowTooLarge first.
+    """
+    if hi - lo + 1 > MAX_WINDOW_EDGES:
+        raise WindowTooLarge(
+            f"range {lo}..{hi} has {hi - lo + 1} vertices, more than the cap of {MAX_WINDOW_EDGES}")
     return [sorted(edges) for edges in materialize_edges(cert, lo, hi)]
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import Counter
 from itertools import permutations
 
@@ -10,6 +11,8 @@ from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
     FinitePath,
+    LengthMultiset,
+    SearchOutcome,
     WindowCheck,
     WindowTooSmall,
     circular_length,
@@ -55,6 +58,51 @@ def is_hamilton_with_lengths(witness, k: int, lengths) -> bool:
         return False
     found = Counter(circular_length(u, v, k) for u, v in zip(witness, witness[1:]))
     return found == Counter(lengths)
+
+
+def reference_find_path(k: int, lengths) -> SearchOutcome:
+    """The recursive search that ``buratti.find_path`` replaced, verbatim apart
+    from the multiset coercion: one call per vertex, so it needs a recursion
+    limit above k.  The iterative search must match its witness and node count.
+    """
+    multiset = LengthMultiset(k, lengths)
+    remaining = multiset.as_dict()
+    visited = bytearray(k)
+    visited[0] = 1
+    path = [0]
+    nodes = 0
+    started = time.perf_counter()
+
+    def extend() -> bool:
+        nonlocal nodes
+        if len(path) == k:
+            return True
+        v = path[-1]
+        depth = len(path)
+        order = sorted((d for d, c in remaining.items() if c),
+                       key=lambda d: (-remaining[d], d))
+        for d in order:
+            down = (v - d) % k
+            up = (v + d) % k
+            for w in (down,) if down == up else (down, up):
+                if visited[w]:
+                    continue
+                if depth == 1 and 2 * w > k:
+                    continue
+                nodes += 1
+                visited[w] = 1
+                path.append(w)
+                remaining[d] -= 1
+                if extend():
+                    return True
+                remaining[d] += 1
+                path.pop()
+                visited[w] = 0
+        return False
+
+    witness = tuple(path) if extend() else None
+    return SearchOutcome(witness=witness, nodes_expanded=nodes,
+                         elapsed=time.perf_counter() - started)
 
 
 def reference_failures(cert: DecompositionCertificate) -> tuple[str, ...]:

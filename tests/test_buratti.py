@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations_with_replacement
 
 import pytest
@@ -67,6 +68,23 @@ class TestFindPath:
             for lengths in combinations_with_replacement(range(1, k // 2 + 1), k - 1):
                 assert find_path(k, lengths).found == helpers.naive_find_unreduced(k, lengths)
 
+    def test_matches_reference_search(self):
+        # Same witness and same node count on every multiset: the iterative
+        # search explores exactly the recursive search's tree, in its order.
+        cases = 0
+        for k in range(2, 12):
+            for lengths in combinations_with_replacement(range(1, k // 2 + 1), k - 1):
+                got = find_path(k, lengths)
+                want = helpers.reference_find_path(k, lengths)
+                assert (got.witness, got.nodes_expanded) == (want.witness, want.nodes_expanded)
+                cases += 1
+        assert cases == 2061
+
+    def test_long_path_needs_no_recursion(self):
+        outcome = find_path(1001, [1] * 1000)
+        assert outcome.witness == tuple(range(1001))
+        assert outcome.nodes_expanded == 1000
+
     def test_deterministic(self):
         a = find_path(9, [1, 2, 3, 4, 4, 4, 4, 4])
         b = find_path(9, [1, 2, 3, 4, 4, 4, 4, 4])
@@ -119,6 +137,16 @@ class TestSweep:
     def test_sample_larger_than_space_runs_everything(self):
         report = sweep(5, sample=100)
         assert not report.sampled and len(report.entries) == 5
+
+    def test_sweep_13_pinned(self):
+        # Digest of the recursive search's report: multisets, witnesses and
+        # node counts must stay byte-identical.
+        report = sweep(13)
+        rows = [(m, o.witness, o.nodes_expanded) for m, o in report.entries]
+        assert len(rows) == 6188 and report.clean
+        assert sum(n for *_, n in rows) == 291677
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+            "25ac22a26e4bd4392f23d49568fa5fc67982090f5de39b5808e24c5164e16e39"
 
     def test_parallel_results_identical(self):
         solo = sweep(7, jobs=1)

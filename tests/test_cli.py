@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hamdec
-from hamdec import CertificateDocument, construct, ConnectionSet
+from hamdec import CertificateDocument, construct, ConnectionSet, verify_certificate
 from hamdec.cli import main
 
 
@@ -54,6 +54,18 @@ class TestConstruct:
                            "--out", str(out_file))
         assert code == 0
         assert json.loads(out_file.read_text())["period"] == 2002
+
+    def test_cyclic_lift_1001(self, capsys, tmp_path):
+        # S+ = {1 + 1001 i} u {1001}: the Z_1001 search needs a path of 1001
+        # vertices, deeper than the default recursion limit.
+        s_plus = [1 + 1001 * i for i in range(1000)] + [1001]
+        out_file = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "construct", "--set", ",".join(map(str, s_plus)),
+                         "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out_file.read_text())["period"] == 2002
+        cert = CertificateDocument.from_json(out_file.read_text()).to_certificate()
+        assert verify_certificate(cert).accepted
 
     def test_skip_k(self, capsys):
         code, out, _ = run(capsys, "construct", "--set", "1,2,4")
@@ -166,13 +178,21 @@ class TestBuratti:
         code, _, err = run(capsys, "buratti", "--k", "5")
         assert code == 2
 
-    def test_crash_exit_70(self, capsys):
-        # The recursive search overflows Python's recursion limit here; a
-        # crash must not read as the negative result of exit code 1.
+    def test_crash_exit_70(self, capsys, monkeypatch):
+        # An unexpected exception must not read as the negative result of
+        # exit code 1.
+        def crash(k, lengths):
+            raise RuntimeError("boom")
+        monkeypatch.setattr("hamdec.cli.find_path", crash)
         code, _, err = run(capsys, "buratti", "--k", "1001", "--lengths", "1x1000")
         assert code == 70
-        assert err.startswith("internal error: RecursionError: ")
+        assert err.startswith("internal error: ")
         assert err.count("\n") == 1
+
+    def test_long_path_exit_0(self, capsys):
+        code, out, _ = run(capsys, "buratti", "--k", "1001", "--lengths", "1x1000")
+        assert code == 0
+        assert str(list(range(1001)))[1:-1] in out
 
 
 class TestFigure:
@@ -229,6 +249,19 @@ class TestFigure:
         assert code == 2
         assert out == ""
         assert "more than the cap" in err
+
+    def test_huge_vertex_range_exit_2(self, capsys, cert_file):
+        # A damaged starter with one edge and a huge period passes the edge
+        # bound; the figure would still draw one vertex per integer.
+        payload = json.loads(cert_file.read_text())
+        payload.update(period=10**9, starter_vertices=[0, 1])
+        cert_file.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "figure", "--cert", str(cert_file), "--range=0..1000000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert "1000000001 vertices, more than the cap" in err
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -326,6 +326,15 @@ class TestDispatcher:
         s = ConnectionSet([3, 5, 7])
         assert construct(s) == construct(s)
 
+    def test_cyclic_lift_1001(self):
+        # Every a = 1 + 1001 i has cyclic length 1 in Z_1001, so the search
+        # needs the path 0, 1, ..., 1000: deeper than the recursion limit.
+        s = ConnectionSet([1 + 1001 * i for i in range(1000)] + [1001])
+        family, cert = construct_with_family(s)
+        assert family == "cyclic-lift"
+        assert cert.period == 2002
+        assert verify_certificate(cert).accepted
+
     def test_every_output_verifies(self):
         for s in ([1, 5], [1, 2, 3, 4], [1, 2, 4], [1, 2, 4, 6, 8], [1, 2, 12], [3, 5, 7],
                   [5, 7, 9, 11, 27]):

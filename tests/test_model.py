@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from hamdec import model
+from hamdec import figures, model
 from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
@@ -161,3 +161,15 @@ def test_materialize_edges_cap(monkeypatch):
     monkeypatch.setattr(model, "MAX_WINDOW_EDGES", bound - 1)
     with pytest.raises(WindowTooLarge):
         model.materialize_edges(cert, 0, 60)
+
+
+def test_figure_vertex_cap(monkeypatch):
+    # The figures draw one vertex per integer: 0..60 has 61, under the edge
+    # bound of 132, so only the vertex cap can refuse it.
+    cert = DecompositionCertificate(
+        ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 2, 3, 6)), (0, 3))
+    monkeypatch.setattr(figures, "MAX_WINDOW_EDGES", 61)
+    assert figures.path_edges_in_range(cert, 0, 60)
+    monkeypatch.setattr(figures, "MAX_WINDOW_EDGES", 60)
+    with pytest.raises(WindowTooLarge):
+        figures.path_edges_in_range(cert, 0, 60)
