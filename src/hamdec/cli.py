@@ -15,6 +15,7 @@ Code 5 is reserved for a search node budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -82,8 +83,11 @@ def _parse_lengths(text: str) -> list[int]:
     return lengths
 
 
+_RANGE = r"(-?\d+)\.\.(-?\d+)"
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
+    m = re.fullmatch(_RANGE, text.strip())
     if not m:
         raise UsageError(f"cannot parse range {text!r}, expected like 0..12")
     lo, hi = int(m.group(1)), int(m.group(2))
@@ -184,9 +188,9 @@ def cmd_buratti(args) -> int:
               f"(nodes expanded: {outcome.nodes_expanded})")
         return EXIT_EXHAUSTED
 
+    jobs = _default_jobs() if args.jobs is None else args.jobs
     try:
-        report = sweep(args.sweep_prime, sample=args.sample, seed=args.seed,
-                       jobs=args.jobs)
+        report = sweep(args.sweep_prime, sample=args.sample, seed=args.seed, jobs=jobs)
     except NotPrime as exc:
         print(f"bad modulus: {exc}")
         return EXIT_USAGE
@@ -223,7 +227,9 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hamdec",
         description="Hamilton decompositions of infinite circulant graphs: "
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_buratti.add_argument("--sample", type=int, metavar="N",
                            help="sample N multisets instead of sweeping all")
     p_buratti.add_argument("--seed", type=int, default=0, metavar="SEED")
-    p_buratti.add_argument("--jobs", type=int, default=_default_jobs(), metavar="J")
+    p_buratti.add_argument("--jobs", type=int, metavar="J")  # None: read HAMDEC_JOBS
     p_buratti.set_defaults(func=cmd_buratti)
 
     p_figure = sub.add_parser("figure", help="emit an arc diagram for a certificate")
@@ -268,9 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_range(argv: list[str]) -> list[str]:
+    """Join ``--range -48..96`` into ``--range=-48..96``.
+
+    argparse reads a separate value that starts with '-' (other than a plain
+    negative number) as a flag, and would reject the range as missing.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--range" and arg.startswith("-") and re.fullmatch(_RANGE, arg):
+            out[-1] = f"--range={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_range(argv))
     try:
         return args.func(args)
     except (UsageError, ValueError, HamdecError) as exc:

@@ -58,9 +58,8 @@ class _Chain:
         if self.cursor != expected_start:
             raise ConstructionError(
                 f"block expected to start at {expected_start} but chain is at {self.cursor}")
-        for z in steps:
-            self.steps.append(z)
-            self.cursor += z
+        self.steps += steps
+        self.cursor += sum(steps)
 
     def path(self) -> FinitePath:
         return realize(OmegaWalk(self.start, self.steps))

@@ -44,15 +44,20 @@ class CertificateDocument:
         )
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "connection_set": list(self.connection_set),
-            "period": self.period,
-            "starter_vertices": list(self.starter_vertices),
-            "offsets": list(self.offsets),
-            "provenance": self.provenance,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        """The document as ``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
+
+        The payload holds the fields in declaration order, the tuples as lists.
+        ``indent`` selects the pure-Python encoder, so each list is written by
+        the C encoder instead, with the indented line break as its item
+        separator; that is exact for lists of numbers, strings, booleans and
+        nulls, and the list fields hold ints.
+        """
+        return (f'{{\n  "schema_version": {json.dumps(self.schema_version)},\n'
+                f'  "connection_set": {_json_list(self.connection_set)},\n'
+                f'  "period": {json.dumps(self.period)},\n'
+                f'  "starter_vertices": {_json_list(self.starter_vertices)},\n'
+                f'  "offsets": {_json_list(self.offsets)},\n'
+                f'  "provenance": {json.dumps(self.provenance)}\n}}\n')
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateDocument":
@@ -88,9 +93,18 @@ class CertificateDocument:
         )
 
 
+def _json_list(values) -> str:
+    """A list of scalars as ``json.dumps`` writes it at indent 2, one level deep."""
+    values = list(values)
+    if not values:
+        return "[]"
+    return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+
+
 def _int_list(value) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in value):
+    # JSON gives int, bool, float, str, list, dict or None: only the exact
+    # type int is an integer.
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise CertificateFormatError(f"expected a list of integers, got {value!r}")
     return tuple(value)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import accumulate
 
 from .errors import (
     BadMultisetSize,
@@ -35,6 +36,26 @@ def _check_vertex(v: int) -> int:
     if not INT64_MIN <= v <= INT64_MAX:
         raise VertexOverflow(f"vertex {v} outside the signed 64-bit range")
     return v
+
+
+def _plain_int64(vs: tuple) -> bool:
+    """True iff every entry is a plain ``int`` in the signed 64-bit range, in C-level passes."""
+    return not vs or (set(map(type, vs)) == {int}
+                      and INT64_MIN <= min(vs) and max(vs) <= INT64_MAX)
+
+
+def _check_vertices(values: Iterable[int]) -> tuple[int, ...]:
+    """``_check_vertex`` over a whole sequence, as a tuple.
+
+    One bulk pass accepts the common case; otherwise the per-entry check runs
+    in order, so the first offender raises the same error it always did (and
+    int subclasses other than ``bool`` are still accepted).
+    """
+    vs = tuple(values)
+    if not _plain_int64(vs):
+        for v in vs:
+            _check_vertex(v)
+    return vs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,12 +98,18 @@ class ConnectionSet:
 
 @dataclasses.dataclass(frozen=True)
 class FinitePath:
-    """A finite path given by its vertex sequence; all vertices distinct."""
+    """A finite path given by its vertex sequence; all vertices distinct.
+
+    The vertices are validated in bulk: one pass tests that all are plain ints
+    in the signed 64-bit range, and only when it fails does a per-vertex scan
+    raise TypeError or VertexOverflow for the first offender.  Then an empty
+    sequence raises ValueError and a repeated vertex RepeatedVertex.
+    """
 
     vertices: tuple[int, ...]
 
     def __init__(self, vertices: Iterable[int]):
-        vs = tuple(_check_vertex(v) for v in vertices)
+        vs = _check_vertices(vertices)
         if not vs:
             raise ValueError("a path needs at least one vertex")
         if len(set(vs)) != len(vs):
@@ -128,30 +155,30 @@ class OmegaWalk:
     def __init__(self, start: int, steps: Iterable[int] = ()):
         _check_vertex(start)
         ss = tuple(steps)
-        for z in ss:
-            _check_vertex(z)
-            if z == 0:
-                raise ValueError("walk steps must be nonzero")
+        if not _plain_int64(ss) or 0 in ss:
+            for z in ss:
+                _check_vertex(z)
+                if z == 0:
+                    raise ValueError("walk steps must be nonzero")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", ss)
 
 
 def realize(walk: OmegaWalk) -> FinitePath:
-    """Turn a walk into the path it traces.
+    """Turn a walk into the path it traces: its start and every partial sum.
 
-    Raises RepeatedVertex if the partial sums collide, i.e. the walk was not
-    actually a path.
+    The partial sums are validated in bulk by :class:`FinitePath`, so a sum
+    outside the signed 64-bit range raises VertexOverflow (naming the first
+    such sum) before any repeat is looked for; RepeatedVertex means the sums
+    collide, i.e. the walk was not actually a path.
     """
-    vertices = [walk.start]
-    for z in walk.steps:
-        vertices.append(_check_vertex(vertices[-1] + z))
-    return FinitePath(vertices)
+    return FinitePath(accumulate(walk.steps, initial=walk.start))
 
 
 def translate(path: FinitePath, t: int) -> FinitePath:
     """Shift every vertex by t; the edge-length multiset is unchanged."""
     _check_vertex(t)
-    return FinitePath(_check_vertex(v + t) for v in path.vertices)
+    return FinitePath(v + t for v in path.vertices)
 
 
 def edge_length_multiset(path: FinitePath) -> dict[int, int]:

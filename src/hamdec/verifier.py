@@ -42,7 +42,9 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
        (canonically 0 and period);
     2. the starter hits each residue class mod period exactly once, except
        the endpoint class exactly twice, which makes the starter's
-       period-translates chain into a single two-way-infinite Hamilton path;
+       period-translates chain into a single two-way-infinite Hamilton path.
+       It is checked in one pass as: period + 1 vertices, all but the last
+       on period distinct classes, and the last on the first one's class;
     3. every starter edge length lies in S+;
     4. for each length d in S+, the starter's length-d edge residues,
        translated by every offset, tile the residues mod period exactly,
@@ -72,27 +74,25 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
     if hi - lo != n or lo % n != 0:
         failures.append(ENDPOINT_MISMATCH)
 
-    # (2) residue coverage of the starter's vertices.
-    residue_counts = Counter(v % n for v in starter.vertices)
-    endpoint_class = starter.first % n
-    coverage_ok = (
-        residue_counts.get(endpoint_class, 0) == 2
-        and starter.last % n == endpoint_class
-        and all(c == 1 for r, c in residue_counts.items() if r != endpoint_class)
-        and len(residue_counts) == n
-    )
-    if not coverage_ok:
+    # (2) residue coverage of the starter's vertices: all but the last hit
+    # the n classes once each, and the last falls on the first one's class.
+    vs = starter.vertices
+    if not (len(vs) == n + 1 and vs[-1] % n == vs[0] % n
+            and len({v % n for v in vs[:-1]}) == n):
         failures.append(RESIDUE_COVERAGE)
 
-    # (3) + (4) edge lengths and per-length residue tiling.
+    # (3) + (4) edge lengths and per-length residue tiling; an edge's residue
+    # is that of its smaller endpoint.
     tables: dict[int, list[int]] = {d: [] for d in s_plus}
     foreign = False
-    for u, v in starter.edges():
-        d = v - u
-        if d in tables:
-            tables[d].append(u % n)
-        else:
+    for u, v in zip(vs, vs[1:]):
+        if u > v:
+            u, v = v, u
+        table = tables.get(v - u)
+        if table is None:
             foreign = True
+        else:
+            table.append(u % n)
     if foreign:
         failures.append(FOREIGN_EDGE_LENGTH)
 
@@ -108,7 +108,7 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
     classes = {o % g for o in distinct}
     overlap = gap = False
     for d in s_plus:
-        cells = {(r + o) % g for r in tables[d] for o in classes}
+        cells = {(r + o) % g for o in classes for r in tables[d]}
         if len(tables[d]) * len(cert.offsets) > len(cells) * (n // g):
             overlap = True
         if len(cells) < g:

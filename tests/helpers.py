@@ -13,6 +13,7 @@ from hamdec import (
     FinitePath,
     LengthMultiset,
     SearchOutcome,
+    VertexOverflow,
     WindowCheck,
     WindowTooSmall,
     circular_length,
@@ -23,6 +24,7 @@ from hamdec import (
     construct_skip_k,
     construct_walecki_family,
 )
+from hamdec.model import INT64_MAX, INT64_MIN
 
 
 def naive_find(k: int, lengths) -> bool:
@@ -103,6 +105,21 @@ def reference_find_path(k: int, lengths) -> SearchOutcome:
     witness = tuple(path) if extend() else None
     return SearchOutcome(witness=witness, nodes_expanded=nodes,
                          elapsed=time.perf_counter() - started)
+
+
+def reference_realize(start: int, steps) -> tuple[int, ...]:
+    """The vertices of a walk, each partial sum checked as it is formed.
+
+    A partial sum outside the signed 64-bit range raises VertexOverflow at
+    once, before any repeat is looked for; then the path is built.
+    """
+    vertices = [start]
+    for z in steps:
+        v = vertices[-1] + z
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise VertexOverflow(f"vertex {v} outside the signed 64-bit range")
+        vertices.append(v)
+    return FinitePath(vertices).vertices
 
 
 def reference_failures(cert: DecompositionCertificate) -> tuple[str, ...]:

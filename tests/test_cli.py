@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hamdec
-from hamdec import CertificateDocument, construct, ConnectionSet, verify_certificate
+from hamdec import CertificateDocument, construct, ConnectionSet, sweep, verify_certificate
 from hamdec.cli import main
 
 
@@ -250,6 +250,17 @@ class TestFigure:
         assert out == ""
         assert "more than the cap" in err
 
+    def test_negative_range_start_in_both_forms(self, capsys, cert_file):
+        for fmt in ("svg", "dot"):
+            joined = run(capsys, "figure", "--cert", str(cert_file), "--range=-48..96",
+                         "--format", fmt)
+            separate = run(capsys, "figure", "--cert", str(cert_file), "--range", "-48..96",
+                           "--format", fmt)
+            assert joined[0] == 0
+            assert separate == joined
+        code, _, err = run(capsys, "figure", "--cert", str(cert_file), "--range", "-96..-48")
+        assert code == 0 and err == ""
+
     def test_huge_vertex_range_exit_2(self, capsys, cert_file):
         # A damaged starter with one edge and a huge period passes the edge
         # bound; the figure would still draw one vertex per integer.
@@ -262,6 +273,44 @@ class TestFigure:
         assert code == 2
         assert out == ""
         assert "1000000001 vertices, more than the cap" in err
+
+
+def fresh_process(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "hamdec.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout
+
+
+class TestParserReuse:
+    """The parser is built once per process; each call must still start clean."""
+
+    @pytest.mark.parametrize("bad", [["check"], ["figure", "--range"], ["nope"],
+                                     ["buratti", "--jobs", "x"]])
+    def test_usage_error_then_valid_call(self, capsys, tmp_path, bad):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2
+        capsys.readouterr()
+        for argv in (["check", "--set", "1,3"], ["buratti", "--k", "5", "--lengths", "1,1,2,2"]):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == fresh_process(*argv)
+
+    def test_hamdec_jobs_read_at_each_call(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(p, **kwargs):
+            seen.append(kwargs["jobs"])
+            return sweep(p, **{**kwargs, "jobs": 1})  # no pool in the test
+        monkeypatch.setattr("hamdec.cli.sweep", spy)
+        monkeypatch.delenv("HAMDEC_JOBS", raising=False)
+        assert run(capsys, "buratti", "--sweep-prime", "5")[0] == 0
+        monkeypatch.setenv("HAMDEC_JOBS", "3")
+        assert run(capsys, "buratti", "--sweep-prime", "5")[0] == 0
+        assert run(capsys, "buratti", "--sweep-prime", "5", "--jobs", "2")[0] == 0
+        monkeypatch.setenv("HAMDEC_JOBS", "junk")
+        assert run(capsys, "buratti", "--sweep-prime", "5")[0] == 0
+        assert seen == [1, 3, 2, 1]
 
 
 def test_cli_import_leaves_process_pool_unloaded():

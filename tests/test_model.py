@@ -1,3 +1,6 @@
+import enum
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -173,3 +176,109 @@ def test_figure_vertex_cap(monkeypatch):
     monkeypatch.setattr(figures, "MAX_WINDOW_EDGES", 60)
     with pytest.raises(WindowTooLarge):
         figures.path_edges_in_range(cert, 0, 60)
+
+
+# ---------------------------------------------------------------- bulk checks
+
+class Small(enum.IntEnum):
+    TWO = 2
+    MINUS_FIVE = -5
+
+
+def per_vertex(values):
+    """The vertex check one entry at a time, in order: the reference."""
+    return tuple(model._check_vertex(v) for v in values)
+
+
+def outcome(f, *args):
+    """What a call gives: ('ok', value) or (exception type, message)."""
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+odd_entries = st.sampled_from([True, False, Small.TWO, Small.MINUS_FIVE, 1.0, -0.5,
+                               model.INT64_MIN - 1, model.INT64_MAX + 1])
+plain_ints = st.integers(model.INT64_MIN, model.INT64_MAX)
+
+
+@st.composite
+def mixed_sequences(draw, nonzero=False):
+    """Plain int64 values with a few odd entries (bool, IntEnum, float, out of range) anywhere."""
+    values = draw(st.lists(plain_ints.filter(bool) if nonzero else plain_ints, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        values.insert(draw(st.integers(0, len(values))), draw(odd_entries | st.just(0)))
+    return values
+
+
+@given(mixed_sequences())
+def test_bulk_vertex_check_matches_per_vertex(values):
+    assert outcome(model._check_vertices, values) == outcome(per_vertex, values)
+    assert outcome(model._check_vertices, iter(values)) == outcome(per_vertex, values)
+
+
+def reference_path(values):
+    vs = per_vertex(values)
+    if not vs:
+        raise ValueError("a path needs at least one vertex")
+    dup = next((v for v, c in Counter(vs).items() if c > 1), None)
+    if dup is not None:
+        raise RepeatedVertex(f"vertex {dup} occurs more than once")
+    return vs
+
+
+@given(mixed_sequences() | st.lists(st.integers(-3, 3), max_size=6))
+def test_finite_path_matches_per_vertex(values):
+    assert outcome(lambda vs: FinitePath(vs).vertices, values) == outcome(reference_path, values)
+
+
+def reference_walk(start, steps):
+    model._check_vertex(start)
+    for z in steps:
+        model._check_vertex(z)
+        if z == 0:
+            raise ValueError("walk steps must be nonzero")
+    return start, tuple(steps)
+
+
+def walk_fields(start, steps):
+    walk = OmegaWalk(start, steps)
+    return walk.start, walk.steps
+
+
+@given(plain_ints | odd_entries, mixed_sequences(nonzero=True))
+def test_walk_check_matches_per_step(start, steps):
+    assert outcome(walk_fields, start, steps) == outcome(reference_walk, start, steps)
+
+
+def test_walk_zero_and_overflow_report_the_first():
+    big = model.INT64_MAX + 1
+    with pytest.raises(ValueError, match="nonzero"):
+        OmegaWalk(0, (1, 0, big))
+    with pytest.raises(VertexOverflow, match=str(big)):
+        OmegaWalk(0, (1, big, 0))
+    with pytest.raises(TypeError, match="got bool"):
+        OmegaWalk(0, (True, 0))
+
+
+@given(st.integers(0, 20).map(lambda t: model.INT64_MAX - t),
+       st.lists(st.integers(-6, 6).filter(bool), max_size=10),
+       st.booleans())
+def test_realize_matches_partial_sum_loop(start, steps, negate):
+    if negate:
+        start, steps = -start - 1, [-z for z in steps]
+    assert (outcome(lambda: realize(OmegaWalk(start, steps)).vertices)
+            == outcome(helpers.reference_realize, start, steps))
+
+
+def test_realize_overflow_wins_over_repeat():
+    top = model.INT64_MAX
+    # Repeats top - 1, then leaves the range: the overflow is reported.
+    with pytest.raises(VertexOverflow, match=f"vertex {top + 1} "):
+        realize(OmegaWalk(top - 1, (-1, 1, 1, 1)))
+    # Leaves the range, then comes back to repeat the start.
+    with pytest.raises(VertexOverflow, match=f"vertex {top + 1} "):
+        realize(OmegaWalk(top, (1, -1)))
+    with pytest.raises(VertexOverflow, match=f"vertex {model.INT64_MIN - 2} "):
+        realize(OmegaWalk(model.INT64_MIN, (1, -1, -2, 1)))
