@@ -30,6 +30,7 @@ from .errors import (
     LengthMultisetMismatch,
     NotAdmissible,
     NotPrime,
+    PeriodTooLarge,
     RepeatedVertex,
     Unsupported,
     VertexOverflow,
@@ -75,6 +76,7 @@ __all__ = [
     "NotAdmissible",
     "NotPrime",
     "OmegaWalk",
+    "PeriodTooLarge",
     "RepeatedVertex",
     "SearchOutcome",
     "SweepReport",

@@ -63,24 +63,31 @@ def _parse_set(text: str) -> ConnectionSet:
     return ConnectionSet(entries)
 
 
-def _parse_lengths(text: str) -> list[int]:
-    """Comma-separated lengths; 'vxn' or 'v×n' repeats v n times."""
-    lengths: list[int] = []
+def _parse_lengths(text: str) -> dict[int, int]:
+    """Comma-separated lengths; 'vxn' or 'v×n' repeats v n times.
+
+    Returns the multiplicity of each length, in order of first occurrence,
+    without expanding the repeats: ``LengthMultiset`` then checks the
+    lengths and their total against the modulus before anything is built.
+    """
+    counts: dict[int, int] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         m = re.fullmatch(r"(\d+)\s*[x×]\s*(\d+)", part)
         if m:
-            lengths.extend([int(m.group(1))] * int(m.group(2)))
-            continue
-        try:
-            lengths.append(int(part))
-        except ValueError as exc:
-            raise UsageError(f"cannot parse length entry {part!r}") from exc
-    if not lengths:
+            length, count = int(m.group(1)), int(m.group(2))
+        else:
+            try:
+                length, count = int(part), 1
+            except ValueError as exc:
+                raise UsageError(f"cannot parse length entry {part!r}") from exc
+        if count:
+            counts[length] = counts.get(length, 0) + count
+    if not counts:
         raise UsageError("length multiset is empty")
-    return lengths
+    return counts
 
 
 _RANGE = r"(-?\d+)\.\.(-?\d+)"
@@ -129,7 +136,7 @@ def cmd_construct(args) -> int:
     print(f"family:  {family}")
     print(f"S+:      {cert.connection_set}")
     print(f"period:  {cert.period}")
-    print(f"starter: [{', '.join(map(str, cert.starter.vertices))}]")
+    print(f"starter: {list(cert.starter.vertices)}")
     print(f"offsets: {{{', '.join(map(str, cert.offsets))}}}")
     if args.out:
         doc = CertificateDocument.from_certificate(

@@ -5,9 +5,12 @@ it into a certificate, and self-verifies the result through the exact
 verifier before returning: a construction bug raises instead of leaking a
 wrong certificate.  Block chains are assembled with an explicit check that
 every block starts where the previous one ended, so a misread chain fails
-immediately rather than producing a broken path.
+immediately rather than producing a broken path; a run of equal blocks is
+checked at its first start and by its displacement, which fixes the rest.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .admissibility import analyze
 from .buratti import find_path
@@ -16,6 +19,7 @@ from .errors import (
     ConstructionError,
     LengthMultisetMismatch,
     NotAdmissible,
+    PeriodTooLarge,
     Unsupported,
 )
 from .model import (
@@ -23,11 +27,16 @@ from .model import (
     DecompositionCertificate,
     FinitePath,
     LengthMultiset,
-    OmegaWalk,
     circular_length,
-    realize,
 )
 from .verifier import verify_certificate
+
+# The largest period ``construct_with_family`` builds.  The starter has
+# period + 1 vertices, and building, self-verifying and writing it peaks at a
+# few hundred bytes per vertex, so a larger request is refused with
+# PeriodTooLarge before anything is built.  Ten times the largest period the
+# benchmark draws (100,000).
+MAX_PERIOD = 1_000_000
 
 
 def _require_admissible(s_plus) -> ConnectionSet:
@@ -61,8 +70,20 @@ class _Chain:
         self.steps += steps
         self.cursor += sum(steps)
 
+    def run(self, starts: range, steps) -> None:
+        """One block of ``steps`` at each start in ``starts``, added as a single block.
+
+        The steps must carry each block to the next start, so only the first
+        start is checked against the cursor; an empty range adds nothing.
+        """
+        if len(starts) > 1 and sum(steps) != starts.step:
+            raise ConstructionError(
+                f"blocks of displacement {sum(steps)} cannot start {starts.step} apart")
+        if starts:
+            self.block(starts[0], tuple(steps) * len(starts))
+
     def path(self) -> FinitePath:
-        return realize(OmegaWalk(self.start, self.steps))
+        return FinitePath(accumulate(self.steps, initial=self.start))
 
 
 def _alternating(magnitudes, *, first_positive: bool) -> list[int]:
@@ -103,10 +124,7 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
         top = 2 * a + start + t
         stop = t + nxt
         assert (top - stop) % t == 0 and top >= stop
-        v = top
-        while v >= stop:
-            chain.block(v, (a, -b))
-            v -= t
+        chain.block(top, (a, -b) * ((top - stop) // t + 1))
     chain.block(t, (a, b))
 
     return _certified(DecompositionCertificate(
@@ -327,8 +345,7 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
     c2 = 2 * t
     chain = _Chain(0)
     if t % 2 == 1:
-        for v in range(0, t - 2, 2):
-            chain.block(v, (1, c2, 1, -c2))
+        chain.run(range(0, t - 2, 2), (1, c2, 1, -c2))
         chain.block(t - 1, [2] * ((t + 1) // 2))
         chain.block(c2, [-1] + [-2] * ((t - 1) // 2))
         chain.block(t, (c2,))
@@ -339,20 +356,23 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
         chain.block(c2, [-1] * (t - 5))
         chain.block(t + 5, (-2, 1, -2, -1, -2))
         if t % 4 == 0:
-            for v in range(t - 1, 10, -4):
-                chain.block(v, (c2, -2, -c2, -2))
+            chain.run(range(t - 1, 10, -4), (c2, -2, -c2, -2))
             chain.block(7, (c2, -2, -c2, -1))
-            for v in range(4, t - 3, 4):
-                chain.block(v, (c2, 2, -c2, 2))
+            chain.run(range(4, t - 3, 4), (c2, 2, -c2, 2))
         else:
-            for v in range(t - 1, 8, -4):
-                chain.block(v, (c2, -2, -c2, -2))
+            chain.run(range(t - 1, 8, -4), (c2, -2, -c2, -2))
             chain.block(5, (c2, -1, -c2, 2))
-            for v in range(6, t - 3, 4):
-                chain.block(v, (c2, 2, -c2, 2))
+            chain.run(range(6, t - 3, 4), (c2, 2, -c2, 2))
         chain.block(t, (c2,))
     return _certified(DecompositionCertificate(
         connection_set=cs, period=3 * t, starter=chain.path(), offsets=(0, t, 2 * t)))
+
+
+def _check_period(s: ConnectionSet, family: str, period: int) -> None:
+    if period > MAX_PERIOD:
+        raise PeriodTooLarge(
+            f"S+={s} needs a {family} certificate of period {period}, "
+            f"more than the cap of {MAX_PERIOD}")
 
 
 _FAMILIES = ("consecutive", "skip-k", "even-run", "one-two-c", "four-valent", "cyclic-lift")
@@ -363,9 +383,10 @@ def construct_with_family(s: ConnectionSet) -> tuple[str, DecompositionCertifica
 
     Families are tried in a fixed priority order, closed-form constructions
     before the search-backed lift, so the result is deterministic across
-    runs.  Raises NotAdmissible for sets failing the necessary conditions and
-    Unsupported (listing the families tried) for admissible sets outside
-    every family.
+    runs.  Raises NotAdmissible for sets failing the necessary conditions,
+    PeriodTooLarge when the matching family's period exceeds ``MAX_PERIOD``
+    (before anything is built or searched), and Unsupported (listing the
+    families tried) for admissible sets outside every family.
     """
     if not isinstance(s, ConnectionSet):
         s = ConnectionSet(s)
@@ -375,19 +396,26 @@ def construct_with_family(s: ConnectionSet) -> tuple[str, DecompositionCertifica
 
     sp = s.s_plus
     k = len(sp)
+    # Each family's period in closed form, checked before anything is built.
     if sp == tuple(range(1, k + 1)):
+        _check_period(s, "consecutive", 2 * k if k > 1 else 1)
         return "consecutive", construct_consecutive(k)
     if sp[:-1] == tuple(range(1, k)) and sp[-1] == k + 1:
+        _check_period(s, "skip-k", 6 if k == 2 else k)
         return "skip-k", construct_skip_k(k)
     if k >= 3 and sp == (1, *range(2, 2 * k - 1, 2)):
+        _check_period(s, "even-run", k)
         return "even-run", construct_even_run(k - 1)
     if k == 3 and sp[:2] == (1, 2):
+        _check_period(s, "one-two-c", 3 * (sp[2] // 2))
         return "one-two-c", construct_one_two_c(sp[2])
     if k == 2:
+        _check_period(s, "four-valent", 2 * sp[1])
         return "four-valent", construct_4valent(*sp)
 
     tried = list(_FAMILIES[:-1])
     if k >= 3 and k % 2 == 1 and k in sp and all(a % k for a in sp if a != k):
+        _check_period(s, "cyclic-lift", 2 * k)
         a_list = tuple(a for a in sp if a != k)
         lengths = LengthMultiset(k, [circular_length(0, a, k) for a in a_list])
         outcome = find_path(k, lengths)

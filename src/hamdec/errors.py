@@ -71,6 +71,10 @@ class WindowTooLarge(HamdecError):
     """The requested window would hold more edges or vertices than the package materializes."""
 
 
+class PeriodTooLarge(HamdecError):
+    """A construction's period exceeds the cap (``constructions.MAX_PERIOD``)."""
+
+
 class ConstructionError(HamdecError):
     """Internal error: a constructor produced a certificate that fails verification."""
 

@@ -9,6 +9,7 @@ directly.  The two must always agree; ``cross_validate`` asserts that.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 from itertools import chain, filterfalse, islice, repeat
 
@@ -27,9 +28,17 @@ OFFSET_COLLISION = "OffsetCollision"
 
 @dataclasses.dataclass(frozen=True)
 class VerificationReport:
+    """The verdict; reports compare by ``accepted`` and ``failures`` only."""
+
     accepted: bool
     failures: tuple[str, ...]
-    residue_tables: dict[int, tuple[int, ...]]  # length d -> sorted residues of its starter edges
+    # length d -> residues of its starter edges, in starter order
+    _tables: dict[int, list[int]] = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def residue_tables(self) -> dict[int, tuple[int, ...]]:
+        """Length d -> sorted residues of its starter edges, sorted on first read."""
+        return {d: tuple(sorted(rs)) for d, rs in self._tables.items()}
 
 
 def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
@@ -135,7 +144,7 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
     return VerificationReport(
         accepted=accepted,
         failures=tuple(failures),
-        residue_tables={d: tuple(sorted(rs)) for d, rs in tables.items()},
+        _tables=tables,
     )
 
 

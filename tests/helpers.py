@@ -122,6 +122,79 @@ def reference_realize(start: int, steps) -> tuple[int, ...]:
     return FinitePath(vertices).vertices
 
 
+class BlockChain:
+    """Walk blocks appended one at a time, each checked to start at the cursor."""
+
+    def __init__(self, start: int = 0):
+        self.start = self.cursor = start
+        self.steps: list[int] = []
+
+    def block(self, expected_start: int, steps) -> None:
+        assert self.cursor == expected_start, (self.cursor, expected_start)
+        self.steps += steps
+        self.cursor += sum(steps)
+
+    def vertices(self) -> tuple[int, ...]:
+        return reference_realize(self.start, self.steps)
+
+
+def reference_4valent_starter(a: int, b: int) -> tuple[int, ...]:
+    """The 4-valent starter built one backward block at a time."""
+    t = b - a
+    alpha = {i: (i * (a % t)) % t for i in range(0, t, 2)}
+    alpha[t] = t
+    chain = BlockChain()
+    for i in range(0, t, 2):
+        chain.block(alpha[i], (a, b))
+        v = 2 * a + alpha[i] + t
+        while v >= t + alpha[i + 2]:
+            chain.block(v, (a, -b))
+            v -= t
+    chain.block(t, (a, b))
+    return chain.vertices()
+
+
+def reference_one_two_c_starter(c: int) -> tuple[int, ...]:
+    """The one-two-c starter for even c >= 6, built one four-step block at a time."""
+    t = c // 2
+    chain = BlockChain()
+    if t % 2 == 1:
+        for v in range(0, t - 2, 2):
+            chain.block(v, (1, c, 1, -c))
+        chain.block(t - 1, [2] * ((t + 1) // 2))
+        chain.block(c, [-1] + [-2] * ((t - 1) // 2))
+    elif t == 4:
+        chain.block(0, (1, 8, 2, -8, 2, 1, 1, 1, 2, -8, 2, 8))
+        return chain.vertices()
+    else:
+        chain.block(0, (1, c, 2, -c, -1, c, -2))
+        chain.block(c, [-1] * (t - 5))
+        chain.block(t + 5, (-2, 1, -2, -1, -2))
+        if t % 4 == 0:
+            for v in range(t - 1, 10, -4):
+                chain.block(v, (c, -2, -c, -2))
+            chain.block(7, (c, -2, -c, -1))
+            for v in range(4, t - 3, 4):
+                chain.block(v, (c, 2, -c, 2))
+        else:
+            for v in range(t - 1, 8, -4):
+                chain.block(v, (c, -2, -c, -2))
+            chain.block(5, (c, -1, -c, 2))
+            for v in range(6, t - 3, 4):
+                chain.block(v, (c, 2, -c, 2))
+    chain.block(t, (c,))
+    return chain.vertices()
+
+
+def reference_residue_tables(cert: DecompositionCertificate) -> dict[int, tuple[int, ...]]:
+    """Length d in S+ -> the sorted residues mod period of the starter's length-d edges."""
+    tables = {d: [] for d in cert.connection_set.s_plus}
+    for u, v in cert.starter.edges():
+        if v - u in tables:
+            tables[v - u].append(u % cert.period)
+    return {d: tuple(sorted(rs)) for d, rs in tables.items()}
+
+
 def reference_failures(cert: DecompositionCertificate) -> tuple[str, ...]:
     """The exact verifier's failure kinds, recomputed the direct way.
 

@@ -6,9 +6,19 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hamdec
-from hamdec import CertificateDocument, construct, ConnectionSet, sweep, verify_certificate
+from hamdec import (
+    CertificateDocument,
+    ConnectionSet,
+    HamdecError,
+    cli,
+    construct,
+    find_path,
+    sweep,
+    verify_certificate,
+)
 from hamdec.cli import main
 
 
@@ -75,6 +85,23 @@ class TestConstruct:
     def test_unsupported_exit_3(self, capsys):
         code, out, _ = run(capsys, "construct", "--set", "4,6,9")
         assert code == 3
+
+    # The first two starters have negative vertices.
+    @pytest.mark.parametrize("s", ["1,2,3,4", "1,2,3,4,5,7", "1,5", "1,2,10", "3,5,7"])
+    def test_starter_line_matches_join(self, capsys, s):
+        code, out, _ = run(capsys, "construct", "--set", s)
+        assert code == 0
+        vertices = construct(ConnectionSet([int(x) for x in s.split(",")])).starter.vertices
+        assert f"starter: [{', '.join(map(str, vertices))}]\n" in out
+
+    @pytest.mark.parametrize("s", ["1,99999999", "9223372036854775807,1", "1,2,1000000000000"])
+    def test_period_above_cap_exit_2(self, capsys, s):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--set", s)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "more than the cap of" in err
+        assert time.perf_counter() - started < 0.5
 
     def test_not_admissible_exit_1(self, capsys):
         code, out, _ = run(capsys, "construct", "--set", "1,2")
@@ -160,6 +187,46 @@ class TestBuratti:
     def test_size_mismatch_exit_2(self, capsys):
         code, _, _ = run(capsys, "buratti", "--k", "5", "--lengths", "1,1")
         assert code == 2
+
+    def test_multiset_size_boundary(self, capsys):
+        code, out, _ = run(capsys, "buratti", "--k", "3", "--lengths", "1x2")
+        assert (code, out) == (0, "found: [0, 1, 2]  (nodes expanded: 2)\n")
+        code, out, _ = run(capsys, "buratti", "--k", "3", "--lengths", "1x3")
+        assert (code, out) == (2, "bad multiset: multiset has 3 lengths, expected exactly 2\n")
+
+    @pytest.mark.parametrize("lengths", ["1x200000000", "1x1000000000000", f"1,1x{10**30}"])
+    def test_huge_repeat_exit_2_before_expanding(self, capsys, lengths):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "buratti", "--k", "3", "--lengths", lengths)
+        assert code == 2
+        assert out.startswith("bad multiset: multiset has ") and err == ""
+        assert time.perf_counter() - started < 0.5
+
+    @given(st.integers(2, 9), st.lists(st.tuples(st.integers(-1, 6), st.integers(0, 4),
+                                                 st.booleans()), min_size=1, max_size=6))
+    @example(3, [(1, 0, True)])
+    @example(3, [(5, 0, True), (7, 1, False), (5, 1, False)])
+    @settings(max_examples=300, deadline=None)
+    def test_counts_match_expanded_lengths(self, k, parts):
+        # The counts give the search and its errors exactly what the
+        # expanded list of lengths gave it, and an empty multiset is refused.
+        if any(v < 0 and repeat for v, _, repeat in parts):
+            return  # '-vxn', which neither form parses
+        text = ",".join(f"{v}x{n}" if repeat else str(v) for v, n, repeat in parts)
+        expanded = [v for v, n, repeat in parts for _ in range(n if repeat else 1)]
+
+        def outcome(parse):
+            try:
+                found = find_path(k, parse())
+            except (cli.UsageError, ValueError, HamdecError) as exc:
+                return type(exc), str(exc)
+            return found.witness, found.nodes_expanded
+
+        def expand():
+            if not expanded:
+                raise cli.UsageError("length multiset is empty")
+            return expanded
+        assert outcome(lambda: cli._parse_lengths(text)) == outcome(expand)
 
     def test_sweep_7(self, capsys):
         code, out, _ = run(capsys, "buratti", "--sweep-prime", "7")

@@ -3,16 +3,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from hamdec import (
     CertificateDocument,
     CongruenceViolation,
     ConnectionSet,
+    ConstructionError,
+    DecompositionCertificate,
     FinitePath,
     LengthMultisetMismatch,
     NotAdmissible,
+    PeriodTooLarge,
     Unsupported,
+    constructions,
     construct,
     construct_4valent,
     construct_consecutive,
@@ -339,3 +344,126 @@ class TestDispatcher:
         for s in ([1, 5], [1, 2, 3, 4], [1, 2, 4], [1, 2, 4, 6, 8], [1, 2, 12], [3, 5, 7],
                   [5, 7, 9, 11, 27]):
             assert verify_certificate(construct(ConnectionSet(s))).accepted
+
+
+class TestChainRun:
+    """``_Chain.run`` adds the same steps as one ``block`` per start, or raises the same error."""
+
+    @staticmethod
+    def added(start, starts, steps, *, per_block):
+        chain = constructions._Chain(start)
+        try:
+            if per_block:
+                for v in starts:
+                    chain.block(v, steps)
+            else:
+                chain.run(starts, steps)
+        except ConstructionError:
+            return ConstructionError
+        return chain.steps, chain.cursor
+
+    def check(self, start, starts, steps):
+        expected = self.added(start, starts, steps, per_block=True)
+        assert self.added(start, starts, steps, per_block=False) == expected
+        return expected
+
+    def test_empty_range_adds_nothing(self):
+        assert self.check(3, range(3, 3, 2), (1, 1)) == ([], 3)
+        assert self.check(0, range(5, 9, -1), (7,)) == ([], 0)
+
+    def test_matching_run(self):
+        assert self.check(4, range(4, 13, 4), (8, -2, -8, 6)) == ([8, -2, -8, 6] * 3, 16)
+        assert self.check(9, range(9, 0, -3), (1, -4)) == ([1, -4] * 3, 0)
+
+    def test_mismatched_start(self):
+        assert self.check(0, range(1, 9, 2), (1, 1)) is ConstructionError
+
+    def test_wrong_displacement(self):
+        assert self.check(0, range(0, 9, 2), (1, 2)) is ConstructionError
+        # A single start has no displacement to check.
+        assert self.check(0, range(0, 1, 2), (1, 2)) == ([1, 2], 3)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_block_loop(self, data):
+        first = data.draw(st.integers(-6, 6))
+        step = data.draw(st.integers(-4, 4).filter(bool))
+        starts = range(first, data.draw(st.integers(-12, 12)), step)
+        steps = data.draw(st.lists(st.integers(-6, 6).filter(bool), max_size=4))
+        if data.draw(st.booleans()) and step != sum(steps):
+            steps.append(step - sum(steps))
+        start = first if data.draw(st.booleans()) else data.draw(st.integers(-6, 6))
+        self.check(start, starts, tuple(steps))
+
+
+def document_bytes(cert) -> str:
+    return CertificateDocument.from_certificate(cert, provenance="p").to_json()
+
+
+def four_valent_matches_reference(a, b):
+    ref = DecompositionCertificate(ConnectionSet((a, b)), 2 * b,
+                                   helpers.reference_4valent_starter(a, b), (0, b))
+    assert document_bytes(construct_4valent(a, b)) == document_bytes(ref)
+
+
+def one_two_c_matches_reference(c):
+    t = c // 2
+    ref = DecompositionCertificate(ConnectionSet((1, 2, c)), 3 * t,
+                                   helpers.reference_one_two_c_starter(c), (0, t, 2 * t))
+    assert document_bytes(construct_one_two_c(c)) == document_bytes(ref)
+
+
+class TestMatchesPerBlockReference:
+    """Runs of blocks build the same documents as one block at a time."""
+
+    def test_four_valent_up_to_61(self):
+        for b in range(3, 62, 2):
+            for a in range(1, b, 2):
+                if math.gcd(a, b) == 1:
+                    four_valent_matches_reference(a, b)
+
+    # Runs of one block (a = 1) up to runs of b / 2 blocks (t = b - a = 2).
+    @pytest.mark.parametrize("a, b", [(1, 1001), (997, 999), (499, 1001), (601, 1003),
+                                      (12343, 47325)])
+    def test_four_valent_large(self, a, b):
+        four_valent_matches_reference(a, b)
+
+    def test_one_two_c_up_to_400(self):
+        for c in range(6, 402, 2):
+            one_two_c_matches_reference(c)
+
+    # t = c / 2 = 1000, 1001, 1002, 1003 (0, 1, 2, 3 mod 4) and the benchmark's
+    # 31801; t = 4 is in the small range.
+    @pytest.mark.parametrize("c", [2000, 2002, 2004, 2006, 63602])
+    def test_one_two_c_large(self, c):
+        one_two_c_matches_reference(c)
+
+
+class TestPeriodCap:
+    # One set per family, with its period in closed form.
+    CASES = [([1, 2, 3, 4], "consecutive", 8), ([1], "consecutive", 1),
+             ([1, 2, 3, 4, 5, 7], "skip-k", 6), ([1, 3], "skip-k", 6),
+             ([1, 2, 4, 6, 8], "even-run", 5), ([1, 2, 10], "one-two-c", 15),
+             ([1, 5], "four-valent", 10), ([3, 5, 7], "cyclic-lift", 6)]
+
+    @pytest.mark.parametrize("s, family, period", CASES)
+    def test_boundary(self, monkeypatch, s, family, period):
+        monkeypatch.setattr(constructions, "MAX_PERIOD", period)
+        assert construct_with_family(ConnectionSet(s))[0] == family
+        assert construct(ConnectionSet(s)).period == period
+        monkeypatch.setattr(constructions, "MAX_PERIOD", period - 1)
+        with pytest.raises(PeriodTooLarge, match=f"{family} certificate of period {period},"):
+            construct_with_family(ConnectionSet(s))
+
+    def test_huge_sets_refused_before_building(self):
+        for s, period in (([1, 99999999], 199999998), ([1, 2**63 - 1], 2**64 - 2),
+                          ([1, 2, 10**12], 3 * 10**12 // 2)):
+            with pytest.raises(PeriodTooLarge, match=f"period {period},"):
+                construct_with_family(ConnectionSet(s))
+
+    def test_not_admissible_and_unsupported_come_first(self, monkeypatch):
+        monkeypatch.setattr(constructions, "MAX_PERIOD", 1)
+        with pytest.raises(NotAdmissible):
+            construct(ConnectionSet([1, 2]))
+        with pytest.raises(Unsupported):
+            construct(ConnectionSet([4, 6, 9]))

@@ -136,6 +136,16 @@ def test_failures_match_reference(cert):
     assert verify_certificate(cert).failures == helpers.reference_failures(cert)
 
 
+def test_lazy_residue_tables_match_eager_reference():
+    rng = random.Random(11)
+    for cert in helpers.family_corpus():
+        for c in (cert, *helpers.mutate(cert, rng)):
+            report = verify_certificate(c)
+            tables = report.residue_tables
+            assert tables == helpers.reference_residue_tables(c)
+            assert report.residue_tables is tables  # sorted once, on the first read
+
+
 class TestWindowOracle:
     def test_accepts_4valent(self):
         assert window_oracle(construct_4valent(1, 3), 5).accepted
