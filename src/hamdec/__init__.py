@@ -5,7 +5,7 @@ them exactly by finite periodic checks, and search for edge-length
 constrained Hamilton paths on cyclic groups.
 """
 
-from .admissibility import AdmissibilityReport, analyze, component_set
+from .admissibility import AdmissibilityReport, analyze
 from .buratti import SearchOutcome, SweepReport, find_path, sweep
 from .constructions import (
     construct,
@@ -37,7 +37,7 @@ from .errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from .figures import render_dot, render_figure, render_svg
+from .figures import render_figure
 from .model import (
     ConnectionSet,
     DecompositionCertificate,
@@ -45,14 +45,11 @@ from .model import (
     LengthMultiset,
     OmegaWalk,
     circular_length,
-    edge_length_multiset,
     realize,
-    translate,
 )
 from .verifier import (
     VerificationReport,
     WindowCheck,
-    cross_validate,
     verify_certificate,
     window_oracle,
 )
@@ -88,7 +85,6 @@ __all__ = [
     "WindowTooSmall",
     "analyze",
     "circular_length",
-    "component_set",
     "construct",
     "construct_4valent",
     "construct_consecutive",
@@ -98,15 +94,10 @@ __all__ = [
     "construct_skip_k",
     "construct_walecki_family",
     "construct_with_family",
-    "cross_validate",
-    "edge_length_multiset",
     "find_path",
     "realize",
-    "render_dot",
     "render_figure",
-    "render_svg",
     "sweep",
-    "translate",
     "verify_certificate",
     "walecki_path",
     "window_oracle",

@@ -32,9 +32,3 @@ def analyze(s: ConnectionSet) -> AdmissibilityReport:
         parity_ok=parity_ok,
         admissible=(d == 1 and parity_ok),
     )
-
-
-def component_set(s: ConnectionSet) -> ConnectionSet:
-    """The connection set of one connected component: every generator over gcd(S)."""
-    d = math.gcd(*s.s_plus)
-    return ConnectionSet(a // d for a in s.s_plus)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
 import time
 from collections.abc import Iterable, Iterator, Mapping
@@ -30,6 +31,16 @@ from .model import LengthMultiset
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
+
+# The largest k ``find_path`` searches; its state takes a few bytes per
+# vertex, and a cyclic-lift search has k <= MAX_PERIOD / 2 = 500,000.
+MAX_K = 1_000_000
+# The largest prime ``sweep`` takes: from p = 53 on the multiset count
+# exceeds sys.maxsize, which ``random.sample`` cannot draw from.
+MAX_SWEEP_PRIME = 47
+# The most searches one sweep runs; the full p = 19 sweep runs 1,562,275, the
+# full p = 23 sweep would run 64.5M.
+MAX_SWEEP_SEARCHES = 2_000_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,8 +68,13 @@ def _coerce_multiset(k: int, lengths) -> LengthMultiset:
 
 
 def find_path(k: int, lengths: LengthMultiset | Mapping[int, int] | Iterable[int]) -> SearchOutcome:
-    """Complete search for a Hamilton path on Z_k realizing the length multiset."""
+    """Complete search for a Hamilton path on Z_k realizing the length multiset.
+
+    A k above ``MAX_K`` raises BadMultisetSize before the search allocates anything.
+    """
     multiset = _coerce_multiset(k, lengths)
+    if k > MAX_K:
+        raise BadMultisetSize(f"k={k} is above the search cap of {MAX_K}")
     present = [d for d, _ in multiset.counts]
     key = [0] * (k // 2 + 1)  # key[d] = d - remaining[d] * k: sorts by (-remaining, d)
     for d, c in multiset.counts:
@@ -170,10 +186,19 @@ def sweep(p: int, *, sample: int | None = None, seed: int = 0, jobs: int = 1) ->
     Multisets are enumerated lexicographically; with several workers the
     searches are distributed one multiset per task and the results are merged
     back in enumeration order, so the report is identical for any job count.
+    At most ``min(jobs, os.cpu_count(), searches)`` worker processes start.
+    A p above ``MAX_SWEEP_PRIME``, or more than ``MAX_SWEEP_SEARCHES``
+    searches, raises ValueError before anything is enumerated or drawn.
     """
+    if p > MAX_SWEEP_PRIME:
+        raise ValueError(f"p={p} is above the sweep cap of {MAX_SWEEP_PRIME}")
     if not is_odd_prime(p):
         raise NotPrime(f"{p} is not an odd prime")
     total = multiset_count(p)
+    searches = total if sample is None else min(sample, total)
+    if searches > MAX_SWEEP_SEARCHES:
+        raise ValueError(f"a sweep of {searches} multisets at p={p} is more than the cap of "
+                         f"{MAX_SWEEP_SEARCHES} searches")
     started = time.perf_counter()
 
     if sample is not None and sample < total:
@@ -185,10 +210,11 @@ def sweep(p: int, *, sample: int | None = None, seed: int = 0, jobs: int = 1) ->
         sampled = False
 
     tasks = [(p, m) for m in multisets]
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported late: costs every CLI start
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_search_task, tasks, chunksize=max(1, len(tasks) // (jobs * 8) or 1)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(_search_task, tasks, chunksize=max(1, len(tasks) // (workers * 8))))
     else:
         raw = [_search_task(t) for t in tasks]
 

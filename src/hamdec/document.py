@@ -110,7 +110,12 @@ def _int_list(value) -> tuple[int, ...]:
 
 
 def load_certificate(path: str) -> tuple[CertificateDocument, DecompositionCertificate]:
-    """Read a document from disk; format errors raise CertificateFormatError."""
+    """Read a document from disk; format errors raise CertificateFormatError.
+
+    A starter that repeats a vertex is no path and raises RepeatedVertex.
+    ``hamdec verify`` reports it as the rejection ``PathBroken``; every other
+    command treats it as unusable input.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()

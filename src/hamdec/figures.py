@@ -31,10 +31,19 @@ def _stroke_color(j: int, total: int) -> str:
     return f"hsl({hue},65%,38%)"
 
 
-def render_svg(cert: DecompositionCertificate, lo: int, hi: int) -> str:
+def render_figure(cert: DecompositionCertificate, lo: int, hi: int, fmt: str) -> str:
+    """The arc diagram of [lo, hi], which must cover one period, as ``fmt`` text."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if hi - lo < cert.period:
         raise ValueError(f"range {lo}..{hi} is smaller than one period ({cert.period})")
     per_path = path_edges_in_range(cert, lo, hi)
+    if fmt == "dot":
+        return _dot(lo, hi, per_path)
+    return _svg(cert.period, lo, hi, per_path)
+
+
+def _svg(period: int, lo: int, hi: int, per_path: list[list[tuple[int, int]]]) -> str:
     total = len(per_path)
 
     unit = 24
@@ -62,7 +71,7 @@ def render_svg(cert: DecompositionCertificate, lo: int, hi: int) -> str:
     lines.append(f'<line x1="{x(lo)}" y1="{baseline}" x2="{x(hi)}" y2="{baseline}" '
                  'stroke="#999" stroke-width="1"/>')
 
-    label_step = 1 if hi - lo <= 60 else cert.period
+    label_step = 1 if hi - lo <= 60 else period
     for v in range(lo, hi + 1):
         lines.append(f'<circle cx="{x(v)}" cy="{baseline}" r="2" fill="#333"/>')
         if (v - lo) % label_step == 0:
@@ -79,10 +88,7 @@ def render_svg(cert: DecompositionCertificate, lo: int, hi: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_dot(cert: DecompositionCertificate, lo: int, hi: int) -> str:
-    if hi - lo < cert.period:
-        raise ValueError(f"range {lo}..{hi} is smaller than one period ({cert.period})")
-    per_path = path_edges_in_range(cert, lo, hi)
+def _dot(lo: int, hi: int, per_path: list[list[tuple[int, int]]]) -> str:
     total = len(per_path)
 
     lines = [
@@ -99,11 +105,3 @@ def render_dot(cert: DecompositionCertificate, lo: int, hi: int) -> str:
             lines.append(f'  "{u}" -- "{v}" [color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def render_figure(cert: DecompositionCertificate, lo: int, hi: int, fmt: str) -> str:
-    if fmt == "svg":
-        return render_svg(cert, lo, hi)
-    if fmt == "dot":
-        return render_dot(cert, lo, hi)
-    raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")

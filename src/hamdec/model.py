@@ -80,9 +80,6 @@ class ConnectionSet:
                 raise ValueError(f"generator magnitudes must be positive, got {a}")
         object.__setattr__(self, "s_plus", tuple(entries))
 
-    def valency(self) -> int:
-        return 2 * len(self.s_plus)
-
     def __contains__(self, a: int) -> bool:
         return a in self.s_plus
 
@@ -134,16 +131,6 @@ class FinitePath:
         for u, v in zip(self.vertices, self.vertices[1:]):
             yield (u, v) if u < v else (v, u)
 
-    def canonicalize(self) -> "FinitePath":
-        """Orient the path so its first vertex is <= its last vertex.
-
-        Path equality is exact sequence equality; this picks one of the two
-        orientations as the canonical representative.
-        """
-        if self.first <= self.last:
-            return self
-        return FinitePath(reversed(self.vertices))
-
 
 @dataclasses.dataclass(frozen=True)
 class OmegaWalk:
@@ -175,17 +162,6 @@ def realize(walk: OmegaWalk) -> FinitePath:
     return FinitePath(accumulate(walk.steps, initial=walk.start))
 
 
-def translate(path: FinitePath, t: int) -> FinitePath:
-    """Shift every vertex by t; the edge-length multiset is unchanged."""
-    _check_vertex(t)
-    return FinitePath(v + t for v in path.vertices)
-
-
-def edge_length_multiset(path: FinitePath) -> dict[int, int]:
-    """Count |v - u| over the path's edges."""
-    return dict(Counter(v - u for u, v in path.edges()))
-
-
 def circular_length(u: int, v: int, modulus: int) -> int:
     """Distance between residues u and v on a cycle of the given modulus."""
     d = (u - v) % modulus
@@ -198,9 +174,10 @@ class DecompositionCertificate:
 
     The implied decomposition consists of the Hamilton paths
     ``H_j = union over i of (starter + period*i) + offsets[j]``.  The
-    constructor only checks cheap structural facts so that damaged
-    certificates (hand-edited files, fuzz mutants) remain representable;
-    the semantic conditions live in :func:`hamdec.verifier.verify_certificate`.
+    constructor checks only cheap structural facts, and the starter must be
+    a path: a repeated vertex raises RepeatedVertex.  Any other damage (a
+    wrong period, length, endpoint or offset) stays representable, for
+    :func:`hamdec.verifier.verify_certificate` to report.
     """
 
     connection_set: ConnectionSet
@@ -279,20 +256,3 @@ class LengthMultiset:
                 f"multiset has {total} lengths, expected exactly {modulus - 1}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "counts", tuple(sorted(counter.items())))
-
-    @property
-    def size(self) -> int:
-        return self.modulus - 1
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    def lengths(self) -> tuple[int, ...]:
-        """The multiset expanded into a sorted tuple."""
-        out = []
-        for length, count in self.counts:
-            out.extend([length] * count)
-        return tuple(out)
-
-    def __str__(self) -> str:
-        return ",".join(map(str, self.lengths()))

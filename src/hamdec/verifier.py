@@ -4,12 +4,11 @@
 conditions on the starter path and the offsets.  ``window_oracle`` is the
 independent cross-check: it materializes a finite slab of the infinite graph
 and verifies degrees, acyclicity, connectivity and the edge partition
-directly.  The two must always agree; ``cross_validate`` asserts that.
+directly.  The two must always agree.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 from collections import Counter
 from itertools import chain, filterfalse, islice, repeat
 
@@ -28,17 +27,10 @@ OFFSET_COLLISION = "OffsetCollision"
 
 @dataclasses.dataclass(frozen=True)
 class VerificationReport:
-    """The verdict; reports compare by ``accepted`` and ``failures`` only."""
+    """The verdict, and the failure kinds in the order the conditions are checked."""
 
     accepted: bool
     failures: tuple[str, ...]
-    # length d -> residues of its starter edges, in starter order
-    _tables: dict[int, list[int]] = dataclasses.field(repr=False, compare=False)
-
-    @functools.cached_property
-    def residue_tables(self) -> dict[int, tuple[int, ...]]:
-        """Length d -> sorted residues of its starter edges, sorted on first read."""
-        return {d: tuple(sorted(rs)) for d, rs in self._tables.items()}
 
 
 def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
@@ -141,11 +133,7 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
         assert analyze(cert.connection_set).admissible, \
             "accepted certificate for a non-admissible connection set"
 
-    return VerificationReport(
-        accepted=accepted,
-        failures=tuple(failures),
-        _tables=tables,
-    )
+    return VerificationReport(accepted=accepted, failures=tuple(failures))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,8 +220,3 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
         return WindowCheck(False, f"edge {min(missing)} not covered")
 
     return WindowCheck(True)
-
-
-def cross_validate(cert: DecompositionCertificate, periods: int) -> bool:
-    """True iff the exact verifier and the window oracle agree on acceptance."""
-    return verify_certificate(cert).accepted == window_oracle(cert, periods).accepted

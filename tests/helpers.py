@@ -68,7 +68,7 @@ def reference_find_path(k: int, lengths) -> SearchOutcome:
     limit above k.  The iterative search must match its witness and node count.
     """
     multiset = LengthMultiset(k, lengths)
-    remaining = multiset.as_dict()
+    remaining = dict(multiset.counts)
     visited = bytearray(k)
     visited[0] = 1
     path = [0]
@@ -184,6 +184,28 @@ def reference_one_two_c_starter(c: int) -> tuple[int, ...]:
                 chain.block(v, (c, 2, -c, 2))
     chain.block(t, (c,))
     return chain.vertices()
+
+
+def translate(path: FinitePath, t: int) -> FinitePath:
+    """Shift every vertex by t; the edge-length multiset is unchanged."""
+    return FinitePath(v + t for v in path.vertices)
+
+
+def edge_length_multiset(path: FinitePath) -> dict[int, int]:
+    """Count |v - u| over the path's edges."""
+    return dict(Counter(v - u for u, v in path.edges()))
+
+
+def canonical(path: FinitePath) -> tuple[int, ...]:
+    """The path's vertices, oriented so that the first is <= the last."""
+    vs = path.vertices
+    return vs if vs[0] <= vs[-1] else vs[::-1]
+
+
+def component_set(s: ConnectionSet) -> ConnectionSet:
+    """The connection set of one connected component: every generator over gcd(S)."""
+    d = math.gcd(*s.s_plus)
+    return ConnectionSet(a // d for a in s.s_plus)
 
 
 def reference_residue_tables(cert: DecompositionCertificate) -> dict[int, tuple[int, ...]]:

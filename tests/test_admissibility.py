@@ -2,7 +2,8 @@ import math
 
 from hypothesis import given, strategies as st
 
-from hamdec import ConnectionSet, analyze, component_set
+from hamdec import ConnectionSet, analyze
+from helpers import component_set
 
 
 def test_one_two_fails_parity():

@@ -1,4 +1,6 @@
+import concurrent.futures
 import hashlib
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -12,6 +14,7 @@ from hamdec import (
     find_path,
     sweep,
 )
+from hamdec import buratti
 from hamdec.buratti import enumerate_multisets, multiset_count, unrank_multiset
 
 
@@ -153,3 +156,72 @@ class TestSweep:
         multi = sweep(7, jobs=2)
         assert [(m, o.witness) for m, o in solo.entries] == \
                [(m, o.witness) for m, o in multi.entries]
+
+
+class TestLimits:
+    def test_k_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(buratti, "MAX_K", 1001)
+        assert find_path(1001, {1: 1000}).witness == tuple(range(1001))
+        with pytest.raises(BadMultisetSize, match="above the search cap of 1001"):
+            find_path(1003, {1: 1002})
+
+    def test_k_above_real_cap_refused_before_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(BadMultisetSize):
+            find_path(buratti.MAX_K + 1, {1: buratti.MAX_K})
+        assert time.perf_counter() - start < 0.5
+
+    def test_prime_cap_boundary(self):
+        report = sweep(buratti.MAX_SWEEP_PRIME, sample=1, seed=0)
+        assert report.sampled and len(report.entries) == 1
+        for p in (53, 10**18 + 3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="above the sweep cap of 47"):
+                sweep(p, sample=1)
+            assert time.perf_counter() - start < 0.5
+
+    def test_search_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(buratti, "MAX_SWEEP_SEARCHES", 28)
+        assert len(sweep(7).entries) == 28
+        assert len(sweep(11, sample=28).entries) == 28
+        assert len(sweep(7, sample=10**9).entries) == 28  # counted as the whole space
+        monkeypatch.setattr(buratti, "MAX_SWEEP_SEARCHES", 27)
+        with pytest.raises(ValueError, match="more than the cap of 27 searches"):
+            sweep(7)
+        with pytest.raises(ValueError, match="more than the cap of 27 searches"):
+            sweep(11, sample=28)
+
+    def test_real_search_cap_admits_p19_refuses_p23(self):
+        assert multiset_count(19) <= buratti.MAX_SWEEP_SEARCHES < multiset_count(23)
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            sweep(23)
+        with pytest.raises(ValueError):
+            sweep(31, sample=buratti.MAX_SWEEP_SEARCHES + 1)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("cpus, jobs, workers", [(4, 100000, 4), (64, 100000, 5),
+                                                     (4, 3, 3), (1, 100000, None),
+                                                     (None, 8, None)])
+    def test_worker_count_is_capped(self, monkeypatch, cpus, jobs, workers):
+        started = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(buratti.os, "cpu_count", lambda: cpus)
+        report = sweep(5, jobs=jobs)  # 5 multisets
+        assert started == ([] if workers is None else [workers])
+        rows = [(m, o.witness, o.nodes_expanded) for m, o in report.entries]
+        assert rows == [(m, o.witness, o.nodes_expanded) for m, o in sweep(5, jobs=1).entries]

@@ -47,6 +47,13 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--set", "1,x")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["check", "construct"])
+    @pytest.mark.parametrize("s, message", [
+        ("", "connection set must contain at least one generator"),
+        ("0,1", "generator magnitudes must be positive, got 0")])
+    def test_empty_or_non_positive_set_exit_2(self, capsys, command, s, message):
+        assert run(capsys, command, "--set", s) == (2, "", f"error: {message}\n")
+
 
 class TestConstruct:
     def test_consecutive_4(self, capsys, tmp_path):
@@ -159,6 +166,14 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--cert", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["verify"], ["figure", "--range", "0..16"]])
+    def test_malformed_certificate_one_stderr_line(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        code, out, err = run(capsys, *command, "--cert", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
+
     def test_huge_window_exit_2(self, capsys, tmp_path):
         path, _ = self.make_cert_file(tmp_path)
         start = time.perf_counter()
@@ -256,6 +271,20 @@ class TestBuratti:
         assert err.startswith("internal error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--sweep-prime", "53", "--sample", "1"],
+        ["--sweep-prime", "1000000000000000003"],
+        ["--sweep-prime", "23"],
+        ["--sweep-prime", "31", "--sample", "2000001"],
+        ["--k", "1000000000", "--lengths", "1x999999999"]])
+    def test_unbounded_requests_refused_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "buratti", *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert (out + err).count("\n") == 1
+        assert "cap" in out + err
+
     def test_long_path_exit_0(self, capsys):
         code, out, _ = run(capsys, "buratti", "--k", "1001", "--lengths", "1x1000")
         assert code == 0
@@ -303,6 +332,22 @@ class TestFigure:
         code, _, _ = run(capsys, "figure", "--cert", str(cert_file),
                          "--range", "0..2", "--format", "svg")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["svg", "dot"])
+    def test_range_shorter_than_period_message(self, capsys, cert_file, fmt):
+        # The period is 6: 0..5 falls one short, 0..6 covers it.
+        assert run(capsys, "figure", "--cert", str(cert_file), "--range", "0..5",
+                   "--format", fmt) == (2, "", "error: range 0..5 is smaller than one period (6)\n")
+        assert run(capsys, "figure", "--cert", str(cert_file), "--range", "0..6",
+                   "--format", fmt)[0] == 0
+
+    def test_repeated_vertex_exit_2(self, capsys, cert_file):
+        # figure draws damaged certificates, but a starter that is not a path is unusable.
+        payload = json.loads(cert_file.read_text())
+        payload["starter_vertices"][2] = payload["starter_vertices"][1]
+        cert_file.write_text(json.dumps(payload))
+        assert run(capsys, "figure", "--cert", str(cert_file), "--range", "0..12") == \
+            (2, "", "error: vertex 1 occurs more than once\n")
 
     def test_bad_range_exit_2(self, capsys, cert_file):
         code, _, _ = run(capsys, "figure", "--cert", str(cert_file),
