@@ -32,8 +32,9 @@ from .model import LengthMultiset
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
 
-# The largest k ``find_path`` searches; its state takes a few bytes per
-# vertex, and a cyclic-lift search has k <= MAX_PERIOD / 2 = 500,000.
+# The largest k ``find_path`` searches; its state grows linearly in k (the
+# 1x999999 search at the cap peaks near 130 MB), and a cyclic-lift search
+# has k <= MAX_PERIOD / 2 = 500,000.
 MAX_K = 1_000_000
 # The largest prime ``sweep`` takes: from p = 53 on the multiset count
 # exceeds sys.maxsize, which ``random.sample`` cannot draw from.
