@@ -8,18 +8,20 @@ number of times, and the cut carries sum(S+) edges in total.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
-from .model import ConnectionSet
+from .model import ConnectionSet, Value
 
 
-@dataclasses.dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Value):
     gcd: int
     component_count: int
     parity_ok: bool
     admissible: bool
+
+    def __init__(self, gcd: int, component_count: int, parity_ok: bool, admissible: bool):
+        self.__dict__.update(gcd=gcd, component_count=component_count, parity_ok=parity_ok,
+                             admissible=admissible)
 
 
 def analyze(s: ConnectionSet) -> AdmissibilityReport:

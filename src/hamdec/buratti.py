@@ -18,7 +18,6 @@ key ``d - remaining[d] * k``, updated by ``k`` at every step.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import random
@@ -27,7 +26,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import combinations_with_replacement
 
 from .errors import BadMultisetSize, NotPrime
-from .model import LengthMultiset
+from .model import LengthMultiset, Value
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
@@ -44,11 +43,13 @@ MAX_SWEEP_PRIME = 47
 MAX_SWEEP_SEARCHES = 2_000_000
 
 
-@dataclasses.dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Value):
     witness: tuple[int, ...] | None
     nodes_expanded: int
     elapsed: float
+
+    def __init__(self, witness: tuple[int, ...] | None, nodes_expanded: int, elapsed: float):
+        self.__dict__.update(witness=witness, nodes_expanded=nodes_expanded, elapsed=elapsed)
 
     @property
     def found(self) -> bool:
@@ -164,13 +165,16 @@ def _search_task(task: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, ...] | N
     return outcome.witness, outcome.nodes_expanded, outcome.elapsed
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Value):
     p: int
     total: int                   # size of the full multiset space
     sampled: bool
     entries: tuple[tuple[tuple[int, ...], SearchOutcome], ...]
     elapsed: float
+
+    def __init__(self, p: int, total: int, sampled: bool,
+                 entries: tuple[tuple[tuple[int, ...], SearchOutcome], ...], elapsed: float):
+        self.__dict__.update(p=p, total=total, sampled=sampled, entries=entries, elapsed=elapsed)
 
     @property
     def failures(self) -> tuple[tuple[int, ...], ...]:

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .model import ConnectionSet
 from .figures import FORMATS, render_figure
-from .verifier import verify_certificate, window_oracle
+from .verifier import smallest_window_periods, verify_certificate, window_oracle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -98,6 +98,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _window_periods(text: str) -> int | str:
+    """``--window-periods``: a period count, or ``auto`` for the smallest window that works."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
+
+
 def _default_jobs() -> int:
     env = os.environ.get("HAMDEC_JOBS", "")
     try:
@@ -154,12 +164,14 @@ def cmd_verify(args) -> int:
     print(f"exact check: {'accepted' if report.accepted else 'rejected'}")
     if report.failures:
         print(f"failures: {', '.join(report.failures)}")
+    auto = args.window_periods == "auto"
+    periods = smallest_window_periods(cert) if auto else args.window_periods
     try:
-        check = window_oracle(cert, args.window_periods)
+        check = window_oracle(cert, periods)
     except (WindowTooSmall, WindowTooLarge) as exc:
-        print(f"window oracle: {exc}")
+        print(f"window oracle: not run ({exc})" if auto else f"window oracle: {exc}")
         return EXIT_USAGE
-    print(f"window oracle ({args.window_periods} periods): "
+    print(f"window oracle ({periods} periods): "
           f"{'accepted' if check.accepted else 'rejected'}")
     if check.failure:
         print(f"window failure: {check.failure}")
@@ -237,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify a certificate file exactly and by window")
     p_verify.add_argument("--cert", required=True, metavar="FILE")
-    p_verify.add_argument("--window-periods", type=int, default=5, metavar="N")
+    p_verify.add_argument("--window-periods", type=_window_periods, default=5, metavar="N|auto")
     p_verify.set_defaults(func=cmd_verify)
 
     p_buratti = sub.add_parser(

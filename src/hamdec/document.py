@@ -5,23 +5,28 @@ schema version; unknown versions are rejected instead of guessed at.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from .errors import CertificateFormatError
-from .model import ConnectionSet, DecompositionCertificate, FinitePath
+from .model import ConnectionSet, DecompositionCertificate, FinitePath, Value
 
 SCHEMA_VERSION = "1"
 
 
-@dataclasses.dataclass(frozen=True)
-class CertificateDocument:
+class CertificateDocument(Value):
     schema_version: str
     connection_set: tuple[int, ...]
     period: int
     starter_vertices: tuple[int, ...]
     offsets: tuple[int, ...]
-    provenance: str = ""
+    provenance: str
+
+    def __init__(self, schema_version: str, connection_set: tuple[int, ...], period: int,
+                 starter_vertices: tuple[int, ...], offsets: tuple[int, ...],
+                 provenance: str = ""):
+        self.__dict__.update(schema_version=schema_version, connection_set=connection_set,
+                             period=period, starter_vertices=starter_vertices, offsets=offsets,
+                             provenance=provenance)
 
     @classmethod
     def from_certificate(cls, cert: DecompositionCertificate,

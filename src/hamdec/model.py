@@ -8,7 +8,6 @@ producing a huge certificate.
 """
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import accumulate
@@ -25,9 +24,14 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 # The most edges ``materialize_edges`` builds in one call, counted as an upper
-# bound before any is built; far above any window the test suite or the
-# benchmark asks for (under 40,000 edges each).
-MAX_WINDOW_EDGES = 2_000_000
+# bound before any is built; the figures also draw at most this many vertices.
+# Measured peaks (Python 3.11, 64-bit Linux): the window oracle takes about
+# 260 B per edge of the bound with its vertex (S+ = {1}: 47 MB RSS at the cap),
+# an SVG figure about 350 B per edge, 205 B per vertex and 210 B more per
+# labelled vertex (period 1, every vertex labelled: 110 MB RSS at the cap).
+# Both run at the cap under a 128 MiB ``ulimit -v``; the benchmark's windows
+# stay under 40,000 edges.
+MAX_WINDOW_EDGES = 125_000
 
 
 def _check_vertex(v: int) -> int:
@@ -58,8 +62,45 @@ def _check_vertices(values: Iterable[int]) -> tuple[int, ...]:
     return vs
 
 
-@dataclasses.dataclass(frozen=True)
-class ConnectionSet:
+class Value:
+    """Base of the package's immutable values: equality, hash and repr by field.
+
+    A subclass names its fields once, as class annotations, in order.  Two
+    values are equal iff they have the same class and equal field tuples, the
+    hash is that of the field tuple, and the repr reads ``Name(field=repr,
+    ...)``.  The fields live in the instance ``__dict__`` (so pickle and copy
+    work), written there by ``__init__``; assignment and deletion raise
+    AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}("
+                f"{', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self._astuple()))})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ConnectionSet(Value):
     """Finite inverse-closed generator set, stored by its positive half.
 
     ``s_plus`` holds the distinct positive generator magnitudes in strictly
@@ -93,8 +134,7 @@ class ConnectionSet:
         return "{" + ", ".join(map(str, self.s_plus)) + "}"
 
 
-@dataclasses.dataclass(frozen=True)
-class FinitePath:
+class FinitePath(Value):
     """A finite path given by its vertex sequence; all vertices distinct.
 
     The vertices are validated in bulk: one pass tests that all are plain ints
@@ -132,8 +172,7 @@ class FinitePath:
             yield (u, v) if u < v else (v, u)
 
 
-@dataclasses.dataclass(frozen=True)
-class OmegaWalk:
+class OmegaWalk(Value):
     """A walk given by a start vertex and a sequence of signed steps."""
 
     start: int
@@ -168,8 +207,7 @@ def circular_length(u: int, v: int, modulus: int) -> int:
     return min(d, modulus - d)
 
 
-@dataclasses.dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(Value):
     """Finite witness of an infinite Hamilton decomposition.
 
     The implied decomposition consists of the Hamilton paths
@@ -227,8 +265,7 @@ def materialize_edges(cert: DecompositionCertificate, lo: int, hi: int
     return paths
 
 
-@dataclasses.dataclass(frozen=True)
-class LengthMultiset:
+class LengthMultiset(Value):
     """A multiset of modulus-1 many edge lengths drawn from 1..modulus//2."""
 
     modulus: int

@@ -8,12 +8,11 @@ directly.  The two must always agree.
 """
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from itertools import chain, filterfalse, islice, repeat
 
 from .admissibility import analyze
-from .model import DecompositionCertificate, materialize_edges
+from .model import DecompositionCertificate, Value, materialize_edges
 from .errors import WindowTooSmall
 
 PATH_BROKEN = "PathBroken"
@@ -25,12 +24,14 @@ FOREIGN_EDGE_LENGTH = "ForeignEdgeLength"
 OFFSET_COLLISION = "OffsetCollision"
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     """The verdict, and the failure kinds in the order the conditions are checked."""
 
     accepted: bool
     failures: tuple[str, ...]
+
+    def __init__(self, accepted: bool, failures: tuple[str, ...]):
+        self.__dict__.update(accepted=accepted, failures=failures)
 
 
 def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
@@ -136,10 +137,23 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
     return VerificationReport(accepted=accepted, failures=tuple(failures))
 
 
-@dataclasses.dataclass(frozen=True)
-class WindowCheck:
+class WindowCheck(Value):
     accepted: bool
-    failure: str | None = None
+    failure: str | None
+
+    def __init__(self, accepted: bool, failure: str | None = None):
+        self.__dict__.update(accepted=accepted, failure=failure)
+
+
+def smallest_window_periods(cert: DecompositionCertificate) -> int:
+    """The fewest periods ``window_oracle`` accepts for ``cert``.
+
+    The window must hold the longest edge (``periods * n >= 2 * max_s``) and
+    leave a non-empty core (``(periods - 1) * n >= max_s``), and has at least
+    3 periods.
+    """
+    n, max_s = cert.period, cert.connection_set.s_plus[-1]
+    return max(3, -(-2 * max_s // n), -(-max_s // n) + 1)
 
 
 def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:

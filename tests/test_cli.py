@@ -183,6 +183,36 @@ class TestVerify:
         assert "exact check: accepted" in out
         assert "window oracle: " in out and "more than the cap" in out
 
+    def test_window_periods_auto_fits_a_long_edge(self, capsys, tmp_path):
+        # Period 26 and edges up to 144 long: the default 5 periods cannot
+        # hold them, auto picks the 12 that can.
+        path, _ = self.make_cert_file(tmp_path, ",".join(map(str, [1 + 13 * i for i in range(12)]
+                                                             + [13])))
+        code, out, _ = run(capsys, "verify", "--cert", str(path), "--window-periods", "auto")
+        assert (code, out) == (0, "exact check: accepted\nwindow oracle (12 periods): accepted\n")
+        code, out, _ = run(capsys, "verify", "--cert", str(path))
+        assert code == 2
+        assert "window oracle: window of 5 periods (130) cannot hold edges of length 144" in out
+
+    def test_window_periods_auto_over_the_cap_is_not_run(self, capsys, tmp_path):
+        s = ",".join(map(str, [1 + 1001 * i for i in range(1000)] + [1001]))
+        path, _ = self.make_cert_file(tmp_path, s)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--cert", str(path), "--window-periods", "auto")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        exact, oracle = out.splitlines()
+        assert exact == "exact check: accepted"
+        assert oracle.startswith("window oracle: not run (window -2002000..2002000 may hold ")
+        assert oracle.endswith(f"more than the cap of {hamdec.model.MAX_WINDOW_EDGES})")
+
+    def test_window_periods_must_be_int_or_auto(self, capsys, tmp_path):
+        path, _ = self.make_cert_file(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--cert", str(path), "--window-periods", "five"])
+        assert info.value.code == 2
+        assert "expected an integer or 'auto', got 'five'" in capsys.readouterr().err
+
 
 class TestBuratti:
     def test_k9_shorthand_exhausted_exit_4(self, capsys):
@@ -425,10 +455,16 @@ class TestParserReuse:
         assert seen == [1, 3, 2, 1]
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    code = "import sys, hamdec.cli; sys.exit('concurrent.futures' in sys.modules)"
+def test_cli_import_loads_no_dataclasses_inspect_or_process_pool():
+    # Each CLI call pays a fresh import: these modules cost it most of its
+    # time (dataclasses with inspect) or are needed by pooled sweeps alone.
+    code = "import sys, hamdec.cli; print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert "hamdec.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "concurrent.futures"})
 
 
 class TestDocumentRoundTrip:

@@ -1,4 +1,6 @@
 import enum
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -161,6 +163,25 @@ def test_materialize_edges_cap(monkeypatch):
     monkeypatch.setattr(model, "MAX_WINDOW_EDGES", bound - 1)
     with pytest.raises(WindowTooLarge):
         model.materialize_edges(cert, 0, 60)
+
+
+def test_one_edge_over_the_real_cap_is_refused_before_allocating():
+    # For S+ = {1} with period 1, [0, hi] has hi + 1 vertices and an edge
+    # bound of hi + 1 (it holds hi edges): hi = cap is one over both caps.
+    cert = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath((0, 1)), (0,))
+    cap = model.MAX_WINDOW_EDGES
+    assert len(figures.path_edges_in_range(cert, 0, cap - 1)[0]) == cap - 1
+    for refuse in (lambda: model.materialize_edges(cert, 0, cap),
+                   lambda: figures.path_edges_in_range(cert, 0, cap)):
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(WindowTooLarge, match=f"{cap + 1} .*more than the cap of {cap}"):
+            refuse()
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 64 * 1024
 
 
 def test_figure_vertex_cap(monkeypatch):

@@ -14,6 +14,7 @@ from hamdec import (
     WindowTooLarge,
     WindowTooSmall,
     analyze,
+    construct,
     construct_4valent,
     construct_consecutive,
     construct_even_run,
@@ -22,6 +23,7 @@ from hamdec import (
     verify_certificate,
     window_oracle,
 )
+from hamdec.verifier import smallest_window_periods
 
 
 def hand_cert(offsets=(0, 3)):
@@ -155,6 +157,21 @@ class TestWindowOracle:
         with pytest.raises(WindowTooSmall):
             window_oracle(cert, 3)
         assert window_oracle(cert, 4).accepted
+
+    def test_smallest_window_periods(self):
+        # The smallest window holds the longest edge and a non-empty core:
+        # the oracle runs on it, and one period fewer is too small.
+        lift = construct(ConnectionSet([1 + 13 * i for i in range(12)] + [13]))
+        assert smallest_window_periods(lift) == 12  # 12 * 26 >= 2 * 144 > 11 * 26
+        corpus = helpers.family_corpus(four_valent_max_b=15, consecutive_max_k=9,
+                                       skip_max_k=11, even_run_max_t=6, one_two_c_max=12,
+                                       walecki_ks=(3, 5))
+        for cert in (*corpus, lift, construct_from_zk_path(3, (7, 11), FinitePath((0, 1, 2)))):
+            periods = smallest_window_periods(cert)
+            assert window_oracle(cert, periods).accepted
+            if periods > 3:
+                with pytest.raises(WindowTooSmall):
+                    window_oracle(cert, periods - 1)
 
     def test_periods_must_be_at_least_3(self):
         with pytest.raises(ValueError):
