@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ConnectionSet, Value
+from .model import ConnectionSet, Value, set_field
 
 
 class AdmissibilityReport(Value):
@@ -20,8 +20,10 @@ class AdmissibilityReport(Value):
     admissible: bool
 
     def __init__(self, gcd: int, component_count: int, parity_ok: bool, admissible: bool):
-        self.__dict__.update(gcd=gcd, component_count=component_count, parity_ok=parity_ok,
-                             admissible=admissible)
+        set_field(self, "gcd", gcd)
+        set_field(self, "component_count", component_count)
+        set_field(self, "parity_ok", parity_ok)
+        set_field(self, "admissible", admissible)
 
 
 def analyze(s: ConnectionSet) -> AdmissibilityReport:

@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import combinations_with_replacement
 
 from .errors import BadMultisetSize, NotPrime
-from .model import LengthMultiset, Value
+from .model import LengthMultiset, Value, set_field
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
@@ -49,7 +49,9 @@ class SearchOutcome(Value):
     elapsed: float
 
     def __init__(self, witness: tuple[int, ...] | None, nodes_expanded: int, elapsed: float):
-        self.__dict__.update(witness=witness, nodes_expanded=nodes_expanded, elapsed=elapsed)
+        set_field(self, "witness", witness)
+        set_field(self, "nodes_expanded", nodes_expanded)
+        set_field(self, "elapsed", elapsed)
 
     @property
     def found(self) -> bool:
@@ -174,7 +176,11 @@ class SweepReport(Value):
 
     def __init__(self, p: int, total: int, sampled: bool,
                  entries: tuple[tuple[tuple[int, ...], SearchOutcome], ...], elapsed: float):
-        self.__dict__.update(p=p, total=total, sampled=sampled, entries=entries, elapsed=elapsed)
+        set_field(self, "p", p)
+        set_field(self, "total", total)
+        set_field(self, "sampled", sampled)
+        set_field(self, "entries", entries)
+        set_field(self, "elapsed", elapsed)
 
     @property
     def failures(self) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 
 from .errors import CertificateFormatError
-from .model import ConnectionSet, DecompositionCertificate, FinitePath, Value
+from .model import ConnectionSet, DecompositionCertificate, FinitePath, Value, set_field
 
 SCHEMA_VERSION = "1"
 
@@ -24,9 +24,12 @@ class CertificateDocument(Value):
     def __init__(self, schema_version: str, connection_set: tuple[int, ...], period: int,
                  starter_vertices: tuple[int, ...], offsets: tuple[int, ...],
                  provenance: str = ""):
-        self.__dict__.update(schema_version=schema_version, connection_set=connection_set,
-                             period=period, starter_vertices=starter_vertices, offsets=offsets,
-                             provenance=provenance)
+        set_field(self, "schema_version", schema_version)
+        set_field(self, "connection_set", connection_set)
+        set_field(self, "period", period)
+        set_field(self, "starter_vertices", starter_vertices)
+        set_field(self, "offsets", offsets)
+        set_field(self, "provenance", provenance)
 
     @classmethod
     def from_certificate(cls, cert: DecompositionCertificate,

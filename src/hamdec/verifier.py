@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import chain, filterfalse, islice, repeat
 
 from .admissibility import analyze
-from .model import DecompositionCertificate, Value, materialize_edges
+from .model import DecompositionCertificate, Value, materialize_edges, set_field
 from .errors import WindowTooSmall
 
 PATH_BROKEN = "PathBroken"
@@ -31,7 +31,8 @@ class VerificationReport(Value):
     failures: tuple[str, ...]
 
     def __init__(self, accepted: bool, failures: tuple[str, ...]):
-        self.__dict__.update(accepted=accepted, failures=failures)
+        set_field(self, "accepted", accepted)
+        set_field(self, "failures", failures)
 
 
 def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
@@ -142,7 +143,8 @@ class WindowCheck(Value):
     failure: str | None
 
     def __init__(self, accepted: bool, failure: str | None = None):
-        self.__dict__.update(accepted=accepted, failure=failure)
+        set_field(self, "accepted", accepted)
+        set_field(self, "failure", failure)
 
 
 def smallest_window_periods(cert: DecompositionCertificate) -> int:
