@@ -19,7 +19,6 @@ from .constructions import (
     construct_with_family,
     walecki_path,
 )
-from .document import CertificateDocument
 from .errors import (
     BadMultisetSize,
     CertificateFormatError,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport",
     "BadMultisetSize",
-    "CertificateDocument",
     "CertificateFormatError",
     "CongruenceViolation",
     "ConnectionSet",

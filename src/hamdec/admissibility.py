@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ConnectionSet, Value, set_field
+from .model import ConnectionSet, Value
 
 
 class AdmissibilityReport(Value):
@@ -18,12 +18,6 @@ class AdmissibilityReport(Value):
     component_count: int
     parity_ok: bool
     admissible: bool
-
-    def __init__(self, gcd: int, component_count: int, parity_ok: bool, admissible: bool):
-        set_field(self, "gcd", gcd)
-        set_field(self, "component_count", component_count)
-        set_field(self, "parity_ok", parity_ok)
-        set_field(self, "admissible", admissible)
 
 
 def analyze(s: ConnectionSet) -> AdmissibilityReport:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 
 from .admissibility import analyze
 from .buratti import find_path, sweep
 from .constructions import construct_with_family
-from .document import CertificateDocument, load_certificate
+from .document import load_certificate, to_json
 from .errors import (
     BadMultisetSize,
     HamdecError,
@@ -108,12 +107,13 @@ def _window_periods(text: str) -> int | str:
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("HAMDEC_JOBS", "")
+def _write_out(path: str, text: str) -> None:
+    """Write an ``--out`` file; a path that cannot be written is an input error."""
     try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -138,16 +138,16 @@ def cmd_construct(args) -> int:
     except Unsupported as exc:
         print(f"unsupported: {exc}")
         return EXIT_UNSUPPORTED
+    # The file is written first: a write error then prints nothing, and a
+    # stdout closed early cannot stop the write.
+    if args.out:
+        _write_out(args.out, to_json(cert, provenance=f"{family}(S+={cert.connection_set})"))
     print(f"family:  {family}")
     print(f"S+:      {cert.connection_set}")
     print(f"period:  {cert.period}")
     print(f"starter: {list(cert.starter.vertices)}")
     print(f"offsets: {{{', '.join(map(str, cert.offsets))}}}")
     if args.out:
-        doc = CertificateDocument.from_certificate(
-            cert, provenance=f"{family}(S+={cert.connection_set})")
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(doc.to_json())
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -199,9 +199,8 @@ def cmd_buratti(args) -> int:
               f"(nodes expanded: {outcome.nodes_expanded})")
         return EXIT_EXHAUSTED
 
-    jobs = _default_jobs() if args.jobs is None else args.jobs
     try:
-        report = sweep(args.sweep_prime, sample=args.sample, seed=args.seed, jobs=jobs)
+        report = sweep(args.sweep_prime, sample=args.sample, seed=args.seed, jobs=args.jobs)
     except NotPrime as exc:
         print(f"bad modulus: {exc}")
         return EXIT_USAGE
@@ -220,8 +219,7 @@ def cmd_figure(args) -> int:
     lo, hi = _parse_range(args.range)
     text = render_figure(cert, lo, hi, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write_out(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_buratti.add_argument("--sample", type=int, metavar="N",
                            help="sample N multisets instead of sweeping all")
     p_buratti.add_argument("--seed", type=int, default=0, metavar="SEED")
-    p_buratti.add_argument("--jobs", type=int, metavar="J")  # None: read HAMDEC_JOBS
+    p_buratti.add_argument("--jobs", type=int, default=1, metavar="J")
     p_buratti.set_defaults(func=cmd_buratti)
 
     p_figure = sub.add_parser("figure", help="emit an arc diagram for a certificate")

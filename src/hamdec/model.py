@@ -62,28 +62,50 @@ def _check_vertices(values: Iterable[int]) -> tuple[int, ...]:
     return vs
 
 
-# Writes one field of a value in its ``__init__``, past the refusing
-# ``__setattr__``.  It keeps the fields inline in the instance: touching
-# ``self.__dict__`` instead would build a dict per instance, 279 bytes for a
-# SearchOutcome instead of 135, and a full p = 19 sweep keeps 1.56M of them.
+# Writes one field of a value, past the refusing ``__setattr__``.  It keeps
+# the fields inline in the instance: touching ``self.__dict__`` instead would
+# build a dict per instance, 279 bytes for a SearchOutcome instead of 135, and
+# a full p = 19 sweep keeps 1.56M of them.
 set_field = object.__setattr__
 
 
 class Value:
-    """Base of the package's immutable values: equality, hash and repr by field.
+    """Base of the package's immutable values: construction, equality, hash and repr by field.
 
-    A subclass names its fields once, as class annotations, in order, and its
-    ``__init__`` writes each with ``set_field``.  Two values are equal iff
-    they have the same class and equal field tuples, the hash is that of the
-    field tuple, and the repr reads ``Name(field=repr, ...)``.  Instances keep
-    a ``__dict__``, so pickle and copy work; assignment and deletion raise
-    AttributeError.
+    A subclass names its fields once, as class annotations, in order; a class
+    attribute of the same name is the field's default.  ``Value.__init__``
+    binds positional and keyword arguments to the fields as the signature
+    ``(field, ..., field=default)`` would, TypeError included; a subclass that
+    validates its input defines its own ``__init__`` and writes each field
+    with ``set_field``.  Two values are equal iff they have the same class and
+    equal field tuples, the hash is that of the field tuple, and the repr
+    reads ``Name(field=repr, ...)``.  Instances keep a ``__dict__``, so pickle
+    and copy work; assignment and deletion raise AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes {len(fields)} "
+                            f"positional arguments but {len(args)} were given")
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif hasattr(self.__class__, name):
+                value = getattr(self.__class__, name)
+            else:
+                raise TypeError(f"{self.__class__.__qualname__}() missing argument {name!r}")
+            set_field(self, name, value)
+        for name in kwargs:
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{self.__class__.__qualname__}() got {problem} argument {name!r}")
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)

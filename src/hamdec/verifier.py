@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import chain, filterfalse, islice, repeat
 
 from .admissibility import analyze
-from .model import DecompositionCertificate, Value, materialize_edges, set_field
+from .model import DecompositionCertificate, Value, materialize_edges
 from .errors import WindowTooSmall
 
 PATH_BROKEN = "PathBroken"
@@ -29,10 +29,6 @@ class VerificationReport(Value):
 
     accepted: bool
     failures: tuple[str, ...]
-
-    def __init__(self, accepted: bool, failures: tuple[str, ...]):
-        set_field(self, "accepted", accepted)
-        set_field(self, "failures", failures)
 
 
 def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
@@ -140,11 +136,7 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
 
 class WindowCheck(Value):
     accepted: bool
-    failure: str | None
-
-    def __init__(self, accepted: bool, failure: str | None = None):
-        set_field(self, "accepted", accepted)
-        set_field(self, "failure", failure)
+    failure: str | None = None
 
 
 def smallest_window_periods(cert: DecompositionCertificate) -> int:

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import hamdec
 from hamdec import (
-    CertificateDocument,
     ConnectionSet,
     HamdecError,
     cli,
@@ -20,6 +19,7 @@ from hamdec import (
     verify_certificate,
 )
 from hamdec.cli import main
+from hamdec.document import from_json, to_json
 
 
 def run(capsys, *argv):
@@ -81,7 +81,7 @@ class TestConstruct:
                          "--out", str(out_file))
         assert code == 0
         assert json.loads(out_file.read_text())["period"] == 2002
-        cert = CertificateDocument.from_json(out_file.read_text()).to_certificate()
+        _, cert = from_json(out_file.read_text())
         assert verify_certificate(cert).accepted
 
     def test_skip_k(self, capsys):
@@ -114,13 +114,39 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "--set", "1,2")
         assert code == 1
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "c.json"
+        code, out, err = run(capsys, "construct", "--set", "1,2,3,4", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    def test_closed_stdout_still_writes_the_file(self, capsys, tmp_path):
+        # The file is written before the summary, so a reader that has gone
+        # away (``| head -c 10``) cannot stop it.  The starter line is larger
+        # than a pipe's buffer, so the write fails inside ``main`` (exit 70)
+        # whether or not stdout is buffered.
+        s = ",".join(map(str, [1 + 1001 * i for i in range(1000)] + [1001]))
+        expected = tmp_path / "expected.json"
+        assert run(capsys, "construct", "--set", s, "--out", str(expected))[0] == 0
+        path = tmp_path / "c.json"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hamdec.cli", "construct", "--set", s, "--out", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])})
+        finally:
+            os.close(write_end)
+        assert done.returncode == 70 and b"BrokenPipeError" in done.stderr
+        assert path.read_bytes() == expected.read_bytes()
+
 
 class TestVerify:
     def make_cert_file(self, tmp_path, s="1,2,3,4"):
         cert = construct(ConnectionSet([int(x) for x in s.split(",")]))
-        doc = CertificateDocument.from_certificate(cert, provenance="test")
         path = tmp_path / "cert.json"
-        path.write_text(doc.to_json())
+        path.write_text(to_json(cert, provenance="test"))
         return path, cert
 
     def test_pipeline_exit_0(self, capsys, tmp_path):
@@ -379,6 +405,13 @@ class TestFigure:
         assert run(capsys, "figure", "--cert", str(cert_file), "--range", "0..12") == \
             (2, "", "error: vertex 1 occurs more than once\n")
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, cert_file):
+        path = tmp_path / "missing" / "f.svg"
+        code, out, err = run(capsys, "figure", "--cert", str(cert_file), "--range", "0..12",
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
     def test_bad_range_exit_2(self, capsys, cert_file):
         code, _, _ = run(capsys, "figure", "--cert", str(cert_file),
                          "--range", "abc", "--format", "svg")
@@ -438,21 +471,17 @@ class TestParserReuse:
             code, out, _ = run(capsys, *argv)
             assert (code, out) == fresh_process(*argv)
 
-    def test_hamdec_jobs_read_at_each_call(self, capsys, monkeypatch):
+    def test_jobs_default_is_1_and_flag_reaches_sweep(self, capsys, monkeypatch):
         seen = []
 
         def spy(p, **kwargs):
             seen.append(kwargs["jobs"])
             return sweep(p, **{**kwargs, "jobs": 1})  # no pool in the test
         monkeypatch.setattr("hamdec.cli.sweep", spy)
-        monkeypatch.delenv("HAMDEC_JOBS", raising=False)
-        assert run(capsys, "buratti", "--sweep-prime", "5")[0] == 0
-        monkeypatch.setenv("HAMDEC_JOBS", "3")
         assert run(capsys, "buratti", "--sweep-prime", "5")[0] == 0
         assert run(capsys, "buratti", "--sweep-prime", "5", "--jobs", "2")[0] == 0
-        monkeypatch.setenv("HAMDEC_JOBS", "junk")
         assert run(capsys, "buratti", "--sweep-prime", "5")[0] == 0
-        assert seen == [1, 3, 2, 1]
+        assert seen == [1, 2, 1]
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_process_pool():
@@ -471,7 +500,4 @@ class TestDocumentRoundTrip:
     def test_round_trip_certificates(self):
         for s in ([1, 3], [1, 2, 3, 4], [1, 2, 4], [1, 2, 4, 6, 8], [1, 2, 10], [3, 5, 7]):
             cert = construct(ConnectionSet(s))
-            doc = CertificateDocument.from_certificate(cert, provenance="p")
-            parsed = CertificateDocument.from_json(doc.to_json())
-            assert parsed == doc
-            assert parsed.to_certificate() == cert
+            assert from_json(to_json(cert, provenance="p")) == ("p", cert)

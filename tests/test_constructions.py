@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from helpers import edge_length_multiset
 from hamdec import (
-    CertificateDocument,
     CongruenceViolation,
     ConnectionSet,
     ConstructionError,
@@ -31,6 +30,7 @@ from hamdec import (
     verify_certificate,
     walecki_path,
 )
+from hamdec.document import to_json
 
 
 class TestFourValent:
@@ -150,8 +150,7 @@ class TestConsecutive:
         # sizes exceed the default recursion limit, and the digests pin the
         # certificate documents byte for byte.
         cert = construct_consecutive(k)
-        doc = CertificateDocument.from_certificate(
-            cert, provenance=f"consecutive(S+={cert.connection_set})").to_json()
+        doc = to_json(cert, provenance=f"consecutive(S+={cert.connection_set})")
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("k", [8, 12, 16, 20])
@@ -397,7 +396,7 @@ class TestChainRun:
 
 
 def document_bytes(cert) -> str:
-    return CertificateDocument.from_certificate(cert, provenance="p").to_json()
+    return to_json(cert, provenance="p")
 
 
 def four_valent_matches_reference(a, b):

@@ -59,3 +59,11 @@ def test_no_unused_imports():
                 continue
             offenders += [f"{name}: {b}" for b in bound if b not in used]
     assert offenders == []
+
+
+def test_only_model_imports_set_field():
+    # The other value types take their fields through ``Value.__init__``.
+    offenders = [name for name, tree in _modules() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and name != "model.py"
+                 and any(alias.name == "set_field" for alias in node.names)]
+    assert offenders == []
