@@ -23,14 +23,15 @@ from .errors import (
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-# The most edges ``materialize_edges`` builds in one call, counted as an upper
-# bound before any is built; the figures also draw at most this many vertices.
-# Measured peaks (Python 3.11, 64-bit Linux): the window oracle takes about
-# 260 B per edge of the bound with its vertex (S+ = {1}: 47 MB RSS at the cap),
-# an SVG figure about 350 B per edge, 205 B per vertex and 210 B more per
-# labelled vertex (period 1, every vertex labelled: 110 MB RSS at the cap).
-# Both run at the cap under a 128 MiB ``ulimit -v``; the benchmark's windows
-# stay under 40,000 edges.
+# The most edges ``materialize_edges`` may describe in one call, counted as an
+# upper bound before any progression is built; the figures also draw at most
+# this many vertices.  Measured peaks over a 15 MB interpreter (Python 3.11,
+# 64-bit Linux): the window oracle takes about 175 B per edge of the bound
+# with its vertex (S+ = {1}: 36 MB RSS at the cap), an SVG figure about
+# 300 B per edge, 285 B per vertex and 180 B more per labelled vertex
+# (period 1, every vertex labelled: 106 MB RSS at the cap).  Both run at the
+# cap under a 128 MiB ``ulimit -v``; the benchmark's windows stay under
+# 40,000 edges.
 MAX_WINDOW_EDGES = 125_000
 
 
@@ -274,24 +275,26 @@ class DecompositionCertificate(Value):
 
 
 def materialize_edges(cert: DecompositionCertificate, lo: int, hi: int
-                      ) -> list[list[tuple[int, int]]]:
+                      ) -> list[list[tuple[range, int]]]:
     """Per offset, in ``cert.offsets`` order, the edges of ``H + offset`` inside [lo, hi].
 
-    ``H`` is the union of the starter's period-translates; each list runs
-    starter edge by starter edge, each in increasing translate order.  A window
-    that may hold more than ``MAX_WINDOW_EDGES`` edges raises WindowTooLarge first.
+    ``H`` is the union of the starter's period-translates, so the copies of
+    one starter edge of length ``d`` in the window are the edges ``(u, u + d)``
+    for ``u`` in an arithmetic progression of step ``period``.  Each path is a
+    list of ``(range of lower endpoints, d)`` pairs, one per starter edge in
+    starter order.  A window that may hold more than ``MAX_WINDOW_EDGES``
+    edges raises WindowTooLarge before any progression is built.
     """
     n = cert.period
     bound = len(cert.offsets) * cert.starter.edge_count * ((hi - lo) // n + 1)
     if bound > MAX_WINDOW_EDGES:
         raise WindowTooLarge(
             f"window {lo}..{hi} may hold {bound} edges, more than the cap of {MAX_WINDOW_EDGES}")
-    paths = [[] for _ in cert.offsets]
-    for edges, offset in zip(paths, cert.offsets):
-        for u, v in cert.starter.edges():
-            first = u + offset - n * ((u + offset - lo) // n)  # the first translate >= lo
-            edges += zip(range(first, hi - v + u + 1, n), range(first + v - u, hi + 1, n))
-    return paths
+    # The translates of the edge (u, v) + o in the window have lower endpoints
+    # from lo + (u + o - lo) mod n, the first one >= lo, up to hi - (v - u).
+    steps = [(u - lo, hi - v + u + 1, v - u) for u, v in cert.starter.edges()]
+    return [[(range(lo + (a + o) % n, stop, n), d) for a, stop, d in steps]
+            for o in cert.offsets]
 
 
 class LengthMultiset(Value):

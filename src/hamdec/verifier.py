@@ -153,10 +153,13 @@ def smallest_window_periods(cert: DecompositionCertificate) -> int:
 def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     """Brute-force check on the finite slab [-periods*n, periods*n].
 
-    Materializes every Hamilton path restricted to the slab and checks, inside
-    a core sub-window where no boundary effect can bite: degree exactly 2 per
-    path, no cycles, a single connected piece per path, pairwise edge
-    disjointness, and that every graph edge is covered exactly once.
+    Materializes every Hamilton path restricted to the slab, as one progression
+    of translates per starter edge and offset, and checks, inside a core
+    sub-window where no boundary effect can bite: degree exactly 2 per path,
+    no cycles, a single connected piece per path, pairwise edge disjointness,
+    and that every graph edge is covered exactly once.  The union-find still
+    walks every edge of the slab, and the last two checks hash every edge as
+    an integer key ``u * m + d``; only the messages decode it to ``(u, u + d)``.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -180,9 +183,10 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # true neighbours inside the slab, so slab degree equals true degree.  A
     # core of more vertices than the path has edges fails: only scan it then.
     core = range(core_lo, core_hi + 1)
-    for edges in paths:
-        degree = Counter(chain.from_iterable(edges))
-        if (core_hi - core_lo >= len(edges)
+    for progs in paths:
+        degree = Counter(chain.from_iterable(
+            [r for r, _ in progs] + [range(r.start + d, r.stop + d, n) for r, d in progs]))
+        if (core_hi - core_lo >= sum(len(r) for r, _ in progs)
                 or list(map(degree.get, core, repeat(0))).count(2) != len(core)):
             x = next(x for x in core if degree.get(x, 0) != 2)
             return WindowCheck(False, f"vertex {x} has degree {degree.get(x, 0)}")
@@ -191,20 +195,22 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # piece.  Any translate touching the connectivity core must fit in the
     # slab entirely, so the core shrinks with the starter's span; a starter
     # spanning more than the slab leaves nothing to check and the condition
-    # holds vacuously.  Union-find with path halving, over x - w_lo.
+    # holds vacuously.  Union-find with path halving over every edge of the
+    # slab, on x - w_lo.
     span = max(cert.starter.vertices) - min(cert.starter.vertices)
     conn_hi = min(core_hi, w_hi - span)
-    for edges in paths:
+    for progs in paths:
         parent = list(range(w_hi - w_lo + 1))
-        for u, v in edges:
-            u, v = u - w_lo, v - w_lo
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u == v:
-                return WindowCheck(False, "cycle inside the window")
-            parent[u] = v
+        for r, d in progs:
+            for u in range(r.start - w_lo, r.stop - w_lo, n):
+                v = u + d
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u == v:
+                    return WindowCheck(False, "cycle inside the window")
+                parent[u] = v
         roots = set()
         for x in range(-conn_hi - w_lo, conn_hi - w_lo + 1):
             while parent[x] != x:
@@ -214,17 +220,27 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
             return WindowCheck(False, "path is disconnected inside the window")
 
     # Pairwise edge-disjoint (each path is a forest, so repeats no edge of its
-    # own), and every graph edge inside the core is used exactly once; of the
-    # first uncovered edge of each length, the smallest comes first x-major.
-    seen: set[tuple[int, int]] = set()
-    for edges in paths:
-        if not seen.isdisjoint(edges):
-            e = next(e for e in edges if e in seen)
-            return WindowCheck(False, f"edge {e} used by two paths")
-        seen.update(edges)
-    missing = [e for d in s_plus for e in islice(
-        filterfalse(seen.__contains__, zip(core, range(core_lo + d, core_hi + 1))), 1)]
+    # own), and every graph edge inside the core is used exactly once.  An
+    # edge (u, u + d) is the integer u * m + d: m exceeds every starter edge
+    # (a damaged starter may hold lengths outside S+) and every length in S+,
+    # so the key is unique and keys order x-major like the pairs.  Of the
+    # first uncovered edge of each length, the smallest comes first.
+    m = 1 + max(max_s, max((d for _, d in paths[0]), default=0))
+
+    def keys(progs):
+        return chain.from_iterable(
+            range(r.start * m + d, r.stop * m + d, n * m) for r, d in progs)
+
+    seen: set[int] = set()
+    for progs in paths:
+        if not seen.isdisjoint(keys(progs)):
+            u, d = divmod(next(filter(seen.__contains__, keys(progs))), m)
+            return WindowCheck(False, f"edge {(u, u + d)} used by two paths")
+        seen.update(keys(progs))
+    missing = [key for d in s_plus for key in islice(filterfalse(
+        seen.__contains__, range(core_lo * m + d, (core_hi - d) * m + d + 1, m)), 1)]
     if missing:
-        return WindowCheck(False, f"edge {min(missing)} not covered")
+        u, d = divmod(min(missing), m)
+        return WindowCheck(False, f"edge {(u, u + d)} not covered")
 
     return WindowCheck(True)

@@ -1,9 +1,14 @@
 """Modules of the package use only each other's public names."""
 import ast
+import inspect
 import pathlib
 import re
+import sys
+import textwrap
 
 import hamdec
+from hamdec import verifier
+from hamdec.model import Value
 
 PACKAGE = pathlib.Path(hamdec.__file__).parent
 
@@ -67,3 +72,44 @@ def test_only_model_imports_set_field():
                  if isinstance(node, ast.ImportFrom) and name != "model.py"
                  and any(alias.name == "set_field" for alias in node.names)]
     assert offenders == []
+
+
+def _package_helpers(func) -> set[str]:
+    """The package functions ``func`` calls, directly or through other package functions.
+
+    A called name is resolved in the namespace of the module that defines the
+    caller.  Value types, errors, the stdlib and builtins are not helpers, and
+    the walk does not enter them.
+    """
+    helpers, stack = set(), [func]
+    while stack:
+        caller = stack.pop()
+        namespace = vars(sys.modules[caller.__module__])
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(caller)))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                callee = namespace.get(node.func.id)
+            elif (isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+                  and inspect.ismodule(namespace.get(node.func.value.id))):
+                callee = getattr(namespace[node.func.value.id], node.func.attr, None)
+            else:
+                continue  # a method of a value or of a stdlib object
+            if (callee is None or not (getattr(callee, "__module__", None) or "").startswith("hamdec")
+                    or inspect.isclass(callee) and issubclass(callee, (Value, BaseException))):
+                continue
+            name = f"{callee.__module__}.{callee.__qualname__}"
+            if name not in helpers:
+                helpers.add(name)
+                stack.append(callee)
+    return helpers
+
+
+def test_exact_verifier_and_window_oracle_share_no_helper():
+    # The window oracle is the independent check of the exact verifier, so
+    # no package function may serve both.
+    exact = _package_helpers(verifier.verify_certificate)
+    oracle = _package_helpers(verifier.window_oracle)
+    assert "hamdec.admissibility.analyze" in exact
+    assert "hamdec.model.materialize_edges" in oracle
+    assert exact & oracle == set()

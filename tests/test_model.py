@@ -139,8 +139,16 @@ def test_circular_length():
 def test_materialize_edges_order():
     cert = DecompositionCertificate(
         ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 2, 3, 6)), (0, 3))
-    # Starter edge by starter edge, each in increasing translate order.
-    assert model.materialize_edges(cert, -3, 8) == [
+    # One progression of lower endpoints per starter edge, in starter order.
+    paths = model.materialize_edges(cert, -3, 8)
+    assert paths == [
+        [(range(0, 8, 6), 1), (range(1, 6, 6), 3), (range(-2, 8, 6), 1),
+         (range(2, 6, 6), 3), (range(2, 8, 6), 1), (range(-3, 6, 6), 3)],
+        [(range(-3, 8, 6), 1), (range(-2, 6, 6), 3), (range(1, 8, 6), 1),
+         (range(-1, 6, 6), 3), (range(-1, 8, 6), 1), (range(0, 6, 6), 3)],
+    ]
+    # Expanded: starter edge by starter edge, each in increasing translate order.
+    assert [helpers.expand_progressions(progs) for progs in paths] == [
         [(0, 1), (6, 7), (1, 4), (-2, -1), (4, 5), (2, 5), (2, 3), (-3, 0), (3, 6)],
         [(-3, -2), (3, 4), (-2, 1), (4, 7), (1, 2), (7, 8), (-1, 2), (5, 8), (-1, 0),
          (5, 6), (0, 3)],
@@ -150,7 +158,9 @@ def test_materialize_edges_order():
                                       one_two_c_max=10, walecki_ks=(3, 5)):
         n = cert.period
         for lo, hi in ((0, n), (-2 * n - 1, 3 * n + 2), (5, 4 * n + 1)):
-            assert model.materialize_edges(cert, lo, hi) == [
+            paths = model.materialize_edges(cert, lo, hi)
+            assert all(r.step == n for progs in paths for r, _ in progs)
+            assert [helpers.expand_progressions(progs) for progs in paths] == [
                 helpers.reference_materialize_edges(cert, o, lo, hi) for o in cert.offsets]
 
 
@@ -159,7 +169,10 @@ def test_materialize_edges_cap(monkeypatch):
         ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 2, 3, 6)), (0, 3))
     bound = 2 * 6 * (60 // 6 + 1)  # offsets * starter edges * (window periods + 1)
     monkeypatch.setattr(model, "MAX_WINDOW_EDGES", bound)
-    assert sum(map(len, model.materialize_edges(cert, 0, 60))) <= bound
+    paths = model.materialize_edges(cert, 0, 60)
+    expanded = [helpers.expand_progressions(progs) for progs in paths]
+    assert expanded == [helpers.reference_materialize_edges(cert, o, 0, 60) for o in cert.offsets]
+    assert sum(map(len, expanded)) <= bound
     monkeypatch.setattr(model, "MAX_WINDOW_EDGES", bound - 1)
     with pytest.raises(WindowTooLarge):
         model.materialize_edges(cert, 0, 60)
@@ -194,6 +207,24 @@ def test_figure_vertex_cap(monkeypatch):
     monkeypatch.setattr(figures, "MAX_WINDOW_EDGES", 60)
     with pytest.raises(WindowTooLarge):
         figures.path_edges_in_range(cert, 0, 60)
+
+
+@pytest.mark.parametrize("fmt", figures.FORMATS)
+def test_figures_match_reference_renderers(fmt):
+    # One period, the benchmark's -n..2n, and a negative start.  Ranges of up
+    # to 60 label every vertex, longer ones one vertex per period: both occur.
+    label_branches = set()
+    for cert in helpers.family_corpus():
+        n = cert.period
+        for lo, hi in ((0, n), (-n, 2 * n), (-2 * n - 3, n - 1)):
+            m = hi - lo + 1
+            assert [[(lo + key // m, lo + key // m + key % m) for key in keys]
+                    for keys in figures.path_edges_in_range(cert, lo, hi)] == \
+                helpers.reference_path_edges_in_range(cert, lo, hi)
+            assert figures.render_figure(cert, lo, hi, fmt) == \
+                helpers.reference_render_figure(cert, lo, hi, fmt)
+            label_branches.add(hi - lo <= 60)
+    assert label_branches == {True, False}
 
 
 # ---------------------------------------------------------------- bulk checks

@@ -236,6 +236,13 @@ def test_window_oracle_matches_reference(case):
     ((1,), 1, (1, 3), (0,), "path is disconnected inside the window"),
     ((2,), 2, (0, -1, -2), (0, 1), "edge (-6, -5) used by two paths"),
     ((1, 3), 2, (2, -1, 4), (1,), "edge (-1, 0) not covered"),
+    # A swapped-vertex mutant of construct_4valent(5, 9) whose paths share an
+    # edge of length 10 > max(S+): edge keys must span the starter's lengths.
+    ((5, 9), 18, (0, 5, 14, 19, 10, 15, 6, 11, 21, 7, 16, 2, 12, 17, 8, 13, 4, 9, 18), (0, 9),
+     "edge (-52, -42) used by two paths"),
+    # The first uncovered edges are (-2, -1) and (-3, 0): the smallest x wins,
+    # though its length is the larger.
+    ((1, 3), 3, (-3, -2, 2, 0), (0,), "edge (-3, 0) not covered"),
 ])
 def test_window_failure_messages(s_plus, period, starter, offsets, failure):
     cert = DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter), offsets)
