@@ -42,9 +42,7 @@ from .model import (
     DecompositionCertificate,
     FinitePath,
     LengthMultiset,
-    OmegaWalk,
     circular_length,
-    realize,
 )
 from .verifier import (
     VerificationReport,
@@ -70,7 +68,6 @@ __all__ = [
     "LengthMultisetMismatch",
     "NotAdmissible",
     "NotPrime",
-    "OmegaWalk",
     "PeriodTooLarge",
     "RepeatedVertex",
     "SearchOutcome",
@@ -93,7 +90,6 @@ __all__ = [
     "construct_walecki_family",
     "construct_with_family",
     "find_path",
-    "realize",
     "render_figure",
     "sweep",
     "verify_certificate",

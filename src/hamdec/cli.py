@@ -9,6 +9,9 @@ Exit codes, relied on by scripts:
 * 4: search exhausted (no path) or sweep found failing multisets
 * 70: internal error, an unexpected exception (sysexits EX_SOFTWARE); one
   ``internal error: <type>: <message>`` line goes to stderr
+* 141: stdout was closed before the output was written (128 + SIGPIPE, as a
+  shell reports a pipe reader that left early); an ``--out`` file is written
+  first, so it is complete
 
 Code 5 is reserved for a search node budget.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -43,6 +47,7 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_EXHAUSTED = 4
 EXIT_INTERNAL = 70
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -292,7 +297,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_negative_range(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a closed stdout fails here
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device so the interpreter's exit flush of
+        # what is still buffered cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (UsageError, ValueError, HamdecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,19 +31,32 @@ from .model import (
 )
 from .verifier import verify_certificate
 
-# The largest period ``construct_with_family`` builds.  The starter has
-# period + 1 vertices, and building, self-verifying and writing it peaks at a
-# few hundred bytes per vertex, so a larger request is refused with
-# PeriodTooLarge before anything is built.  Ten times the largest period the
-# benchmark draws (100,000).
+# The largest period any constructor builds.  The starter has period + 1
+# vertices, and building, self-verifying and writing it peaks at a few hundred
+# bytes per vertex, so a larger request is refused with PeriodTooLarge before
+# anything is built.  Ten times the largest period the benchmark draws
+# (100,000).
 MAX_PERIOD = 1_000_000
 
 
-def _require_admissible(s_plus) -> ConnectionSet:
+def _check_period(cs: ConnectionSet, family: str, period: int) -> None:
+    if period > MAX_PERIOD:
+        raise PeriodTooLarge(
+            f"S+={cs} needs a {family} certificate of period {period}, "
+            f"more than the cap of {MAX_PERIOD}")
+
+
+def _require_admissible(s_plus, family: str, period: int) -> ConnectionSet:
+    """The connection set, once it is admissible and its certificate's period is within the cap.
+
+    Every constructor calls this before it builds anything, or delegates to
+    another constructor, with the period of the certificate it returns.
+    """
     cs = ConnectionSet(s_plus)
     report = analyze(cs)
     if not report.admissible:
         raise NotAdmissible(cs, report)
+    _check_period(cs, family, period)
     return cs
 
 
@@ -107,7 +120,7 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
     """
     if not (1 <= a < b):
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    cs = _require_admissible((a, b))
+    cs = _require_admissible((a, b), "four-valent", 2 * b)
 
     t = b - a
     m = a % t
@@ -166,7 +179,7 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
         raise ValueError(f"need {k - 1} distinct magnitudes, got {a_list}")
     if any(a < 1 or a % k == 0 for a in a_list):
         raise ValueError(f"magnitudes must be positive and not divisible by {k}: {a_list}")
-    cs = _require_admissible((*a_list, k))
+    cs = _require_admissible((*a_list, k), "cyclic-lift", 2 * k)
 
     if not isinstance(q, FinitePath):
         q = FinitePath(q)
@@ -200,10 +213,15 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
 def walecki_path(k: int) -> FinitePath:
     """The zigzag Hamilton path [0, 1, k-1, 2, k-2, ...] on Z_k for odd k >= 3.
 
-    Its cyclic edge lengths are 1, 1, 2, 2, ..., (k-1)/2, (k-1)/2.
+    Its cyclic edge lengths are 1, 1, 2, 2, ..., (k-1)/2, (k-1)/2.  Its lift
+    has period 2k, so k above ``MAX_PERIOD // 2`` raises PeriodTooLarge.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"k must be an odd integer >= 3, got {k}")
+    if k > MAX_PERIOD // 2:
+        raise PeriodTooLarge(
+            f"the Walecki path on Z_{k} lifts to a cyclic-lift certificate of period {2 * k}, "
+            f"more than the cap of {MAX_PERIOD}")
     vertices = [0]
     for j in range(1, (k - 1) // 2 + 1):
         vertices.append(j)
@@ -226,7 +244,7 @@ def construct_consecutive(k: int) -> DecompositionCertificate:
     """Certificate for S+ = {1, 2, ..., k}; admissible iff k = 0 or 1 mod 4."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    cs = _require_admissible(range(1, k + 1))
+    cs = _require_admissible(range(1, k + 1), "consecutive", 2 * k if k > 1 else 1)
 
     if k == 1:
         return _certified(DecompositionCertificate(
@@ -254,7 +272,7 @@ def construct_skip_k(k: int) -> DecompositionCertificate:
     """Certificate for S+ = {1, ..., k-1, k+1}; admissible iff k = 2 or 3 mod 4."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    cs = _require_admissible((*range(1, k), k + 1))
+    cs = _require_admissible((*range(1, k), k + 1), "skip-k", 6 if k == 2 else k)
 
     if k == 2:
         return construct_4valent(1, 3)
@@ -303,7 +321,7 @@ def construct_even_run(t: int) -> DecompositionCertificate:
     """Certificate for S+ = {1, 2, 4, 6, ..., 2t}; admissible iff t is even."""
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
-    cs = _require_admissible((1, *range(2, 2 * t + 1, 2)))
+    cs = _require_admissible((1, *range(2, 2 * t + 1, 2)), "even-run", t + 1)
     if t == 2:
         return construct_skip_k(3)
 
@@ -337,8 +355,8 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
     """
     if c < 3:
         raise ValueError(f"c must be at least 3, got {c}")
-    cs = _require_admissible((1, 2, c))
     t = c // 2
+    cs = _require_admissible((1, 2, c), "one-two-c", 3 if t == 2 else 3 * t)
     if t == 2:
         return construct_skip_k(3)
 
@@ -368,13 +386,6 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
         connection_set=cs, period=3 * t, starter=chain.path(), offsets=(0, t, 2 * t)))
 
 
-def _check_period(s: ConnectionSet, family: str, period: int) -> None:
-    if period > MAX_PERIOD:
-        raise PeriodTooLarge(
-            f"S+={s} needs a {family} certificate of period {period}, "
-            f"more than the cap of {MAX_PERIOD}")
-
-
 _FAMILIES = ("consecutive", "skip-k", "even-run", "one-two-c", "four-valent", "cyclic-lift")
 
 
@@ -385,8 +396,9 @@ def construct_with_family(s: ConnectionSet) -> tuple[str, DecompositionCertifica
     before the search-backed lift, so the result is deterministic across
     runs.  Raises NotAdmissible for sets failing the necessary conditions,
     PeriodTooLarge when the matching family's period exceeds ``MAX_PERIOD``
-    (before anything is built or searched), and Unsupported (listing the
-    families tried) for admissible sets outside every family.
+    (each constructor checks its own before it builds; the cyclic lift is
+    checked here, before the search), and Unsupported (listing the families
+    tried) for admissible sets outside every family.
     """
     if not isinstance(s, ConnectionSet):
         s = ConnectionSet(s)
@@ -396,21 +408,15 @@ def construct_with_family(s: ConnectionSet) -> tuple[str, DecompositionCertifica
 
     sp = s.s_plus
     k = len(sp)
-    # Each family's period in closed form, checked before anything is built.
     if sp == tuple(range(1, k + 1)):
-        _check_period(s, "consecutive", 2 * k if k > 1 else 1)
         return "consecutive", construct_consecutive(k)
     if sp[:-1] == tuple(range(1, k)) and sp[-1] == k + 1:
-        _check_period(s, "skip-k", 6 if k == 2 else k)
         return "skip-k", construct_skip_k(k)
     if k >= 3 and sp == (1, *range(2, 2 * k - 1, 2)):
-        _check_period(s, "even-run", k)
         return "even-run", construct_even_run(k - 1)
     if k == 3 and sp[:2] == (1, 2):
-        _check_period(s, "one-two-c", 3 * (sp[2] // 2))
         return "one-two-c", construct_one_two_c(sp[2])
     if k == 2:
-        _check_period(s, "four-valent", 2 * sp[1])
         return "four-valent", construct_4valent(*sp)
 
     tried = list(_FAMILIES[:-1])

@@ -1,4 +1,4 @@
-"""Value types for connection sets, walks, paths, and decomposition certificates.
+"""Value types for connection sets, paths, length multisets and decomposition certificates.
 
 Everything in this module is an immutable value; instances can be shared
 freely between threads or processes.  Vertices are plain Python integers but
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import accumulate
 
 from .errors import (
     BadMultisetSize,
@@ -43,21 +42,17 @@ def _check_vertex(v: int) -> int:
     return v
 
 
-def _plain_int64(vs: tuple) -> bool:
-    """True iff every entry is a plain ``int`` in the signed 64-bit range, in C-level passes."""
-    return not vs or (set(map(type, vs)) == {int}
-                      and INT64_MIN <= min(vs) and max(vs) <= INT64_MAX)
-
-
 def _check_vertices(values: Iterable[int]) -> tuple[int, ...]:
     """``_check_vertex`` over a whole sequence, as a tuple.
 
-    One bulk pass accepts the common case; otherwise the per-entry check runs
-    in order, so the first offender raises the same error it always did (and
-    int subclasses other than ``bool`` are still accepted).
+    A bulk test of C-level passes accepts the common case, plain ints in the
+    signed 64-bit range; otherwise the per-entry check runs in order, so the
+    first offender raises the same error it always did (and int subclasses
+    other than ``bool`` are still accepted).
     """
     vs = tuple(values)
-    if not _plain_int64(vs):
+    if vs and not (set(map(type, vs)) == {int}
+                   and INT64_MIN <= min(vs) and max(vs) <= INT64_MAX):
         for v in vs:
             _check_vertex(v)
     return vs
@@ -200,35 +195,6 @@ class FinitePath(Value):
         """Yield edges as (smaller, larger) endpoint pairs."""
         for u, v in zip(self.vertices, self.vertices[1:]):
             yield (u, v) if u < v else (v, u)
-
-
-class OmegaWalk(Value):
-    """A walk given by a start vertex and a sequence of signed steps."""
-
-    start: int
-    steps: tuple[int, ...]
-
-    def __init__(self, start: int, steps: Iterable[int] = ()):
-        _check_vertex(start)
-        ss = tuple(steps)
-        if not _plain_int64(ss) or 0 in ss:
-            for z in ss:
-                _check_vertex(z)
-                if z == 0:
-                    raise ValueError("walk steps must be nonzero")
-        set_field(self, "start", start)
-        set_field(self, "steps", ss)
-
-
-def realize(walk: OmegaWalk) -> FinitePath:
-    """Turn a walk into the path it traces: its start and every partial sum.
-
-    The partial sums are validated in bulk by :class:`FinitePath`, so a sum
-    outside the signed 64-bit range raises VertexOverflow (naming the first
-    such sum) before any repeat is looked for; RepeatedVertex means the sums
-    collide, i.e. the walk was not actually a path.
-    """
-    return FinitePath(accumulate(walk.steps, initial=walk.start))
 
 
 def circular_length(u: int, v: int, modulus: int) -> int:

@@ -123,13 +123,13 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
         failures.append(OFFSET_COLLISION)
 
     accepted = not failures
-    if accepted:
-        # Forced by condition (4); a violation here is a library bug.
-        assert all(len(tables[d]) * len(cert.offsets) == n for d in s_plus)
-        # An accepted certificate of a non-admissible set would disprove a
-        # necessary condition; that is a bug, never a report.
-        assert analyze(cert.connection_set).admissible, \
-            "accepted certificate for a non-admissible connection set"
+    # Library bugs, never reports, so raised under ``python -O`` as well: the
+    # first is forced by condition (4), and the second would disprove a
+    # necessary condition.
+    if accepted and not all(len(tables[d]) * len(cert.offsets) == n for d in s_plus):
+        raise AssertionError("accepted certificate whose length residues do not fill Z_period")
+    if accepted and not analyze(cert.connection_set).admissible:
+        raise AssertionError("accepted certificate for a non-admissible connection set")
 
     return VerificationReport(accepted=accepted, failures=tuple(failures))
 

@@ -123,22 +123,13 @@ class TestConstruct:
     def test_closed_stdout_still_writes_the_file(self, capsys, tmp_path):
         # The file is written before the summary, so a reader that has gone
         # away (``| head -c 10``) cannot stop it.  The starter line is larger
-        # than a pipe's buffer, so the write fails inside ``main`` (exit 70)
-        # whether or not stdout is buffered.
+        # than a pipe's buffer, so the write fails inside the command, not at
+        # the final flush.
         s = ",".join(map(str, [1 + 1001 * i for i in range(1000)] + [1001]))
         expected = tmp_path / "expected.json"
         assert run(capsys, "construct", "--set", s, "--out", str(expected))[0] == 0
         path = tmp_path / "c.json"
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "hamdec.cli", "construct", "--set", s, "--out", str(path)],
-                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-                env={**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])})
-        finally:
-            os.close(write_end)
-        assert done.returncode == 70 and b"BrokenPipeError" in done.stderr
+        assert closed_stdout("construct", "--set", s, "--out", str(path))[:2] == (141, b"")
         assert path.read_bytes() == expected.read_bytes()
 
 
@@ -455,6 +446,43 @@ def fresh_process(*argv):
     done = subprocess.run([sys.executable, "-m", "hamdec.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     return done.returncode, done.stdout
+
+
+def closed_stdout(*argv, unbuffered=False):
+    """Exit code, stderr and seconds of a fresh CLI process whose stdout reader has gone."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(hamdec.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    started = time.perf_counter()
+    try:
+        done = subprocess.run([sys.executable, "-m", "hamdec.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--set", "1,2,4"],
+    ["construct", "--set", "1,2,3,4", "--out", "{cert}"],
+    ["verify", "--cert", "{cert}"],
+    ["buratti", "--k", "5", "--lengths", "1,1,2,2"],
+    ["figure", "--cert", "{cert}", "--range", "0..16"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141(tmp_path, argv, unbuffered):
+    # Buffered, output this short meets the closed pipe at the final flush;
+    # unbuffered, at the first print.  Neither gives a traceback, an internal
+    # error or exit 120.
+    cert = tmp_path / "cert.json"
+    cert.write_text(to_json(construct(ConnectionSet([1, 2, 3, 4])), provenance="test"))
+    code, err, seconds = closed_stdout(*(arg.format(cert=cert) for arg in argv),
+                                       unbuffered=unbuffered)
+    assert (code, err) == (141, b"")
+    assert seconds < 0.5
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,3 +467,46 @@ class TestPeriodCap:
             construct(ConnectionSet([1, 2]))
         with pytest.raises(Unsupported):
             construct(ConnectionSet([4, 6, 9]))
+
+
+class TestConstructorPeriodCap:
+    # Each public constructor refuses on its own, before it builds or
+    # delegates; the first three delegate to other families.
+    CASES = {"skip_k(2)": (lambda: construct_skip_k(2), "skip-k", 6),
+             "even_run(2)": (lambda: construct_even_run(2), "even-run", 3),
+             "one_two_c(4)": (lambda: construct_one_two_c(4), "one-two-c", 3),
+             "consecutive(1)": (lambda: construct_consecutive(1), "consecutive", 1),
+             "consecutive(4)": (lambda: construct_consecutive(4), "consecutive", 8),
+             "consecutive(5)": (lambda: construct_consecutive(5), "consecutive", 10),
+             "skip_k(6)": (lambda: construct_skip_k(6), "skip-k", 6),
+             "even_run(4)": (lambda: construct_even_run(4), "even-run", 5),
+             "one_two_c(10)": (lambda: construct_one_two_c(10), "one-two-c", 15),
+             "4valent(1,5)": (lambda: construct_4valent(1, 5), "four-valent", 10),
+             "walecki_family(5)": (lambda: construct_walecki_family(5, (6, 2, 8, 4)),
+                                   "cyclic-lift", 10),
+             "from_zk_path(3)": (lambda: construct_from_zk_path(3, (7, 11), FinitePath((0, 1, 2))),
+                                 "cyclic-lift", 6)}
+
+    @pytest.mark.parametrize("call, family, period", CASES.values(), ids=CASES)
+    def test_boundary(self, monkeypatch, call, family, period):
+        monkeypatch.setattr(constructions, "MAX_PERIOD", period)
+        assert call().period == period
+        monkeypatch.setattr(constructions, "MAX_PERIOD", period - 1)
+        with pytest.raises(PeriodTooLarge, match=f"{family} certificate of period {period},"):
+            call()
+
+    def test_walecki_path_boundary(self, monkeypatch):
+        monkeypatch.setattr(constructions, "MAX_PERIOD", 10)
+        assert walecki_path(5).vertices == (0, 1, 4, 2, 3)
+        monkeypatch.setattr(constructions, "MAX_PERIOD", 9)
+        with pytest.raises(PeriodTooLarge,
+                           match="Z_5 lifts to a cyclic-lift certificate of period 10,"):
+            walecki_path(5)
+
+    def test_real_cap_refuses_at_once(self):
+        started = time.perf_counter()
+        with pytest.raises(PeriodTooLarge, match="four-valent certificate of period 3000002,"):
+            construct_4valent(1, 1_500_001)
+        with pytest.raises(PeriodTooLarge, match="period 1000002,"):
+            walecki_path(500_001)
+        assert time.perf_counter() - started < 0.1

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import hamdec
 from hamdec import model
 from hamdec import (
     ConnectionSet,
@@ -248,6 +254,26 @@ def test_window_failure_messages(s_plus, period, starter, offsets, failure):
     cert = DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter), offsets)
     assert window_oracle(cert, 3) == WindowCheck(False, failure)
     assert helpers.reference_window_oracle(cert, 3) == WindowCheck(False, failure)
+
+
+def test_invariants_raise_under_optimize():
+    # An accepted certificate of a set analyze calls non-admissible is a
+    # library bug; ``python -O`` must not turn it into an accepted report.
+    code = textwrap.dedent("""
+        import sys
+        from hamdec import AdmissibilityReport, construct_4valent, verifier
+        assert sys.flags.optimize
+        cert = construct_4valent(1, 3)
+        verifier.analyze = lambda s: AdmissibilityReport(1, 1, False, False)
+        try:
+            verifier.verify_certificate(cert)
+        except AssertionError as exc:
+            print(exc)
+        """)
+    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "accepted certificate for a non-admissible connection set\n"
 
 
 def test_window_oracle_refuses_large_window(monkeypatch):
