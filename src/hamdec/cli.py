@@ -127,7 +127,7 @@ def cmd_check(args) -> int:
     print(f"S+ = {s}")
     print(f"gcd = {report.gcd}  (connected components: {report.component_count})")
     total = sum(s.s_plus)
-    print(f"parity: sum(S+) = {total}, |S+| = {len(s)} -> "
+    print(f"parity: sum(S+) = {total}, |S+| = {len(s.s_plus)} -> "
           f"{'ok' if report.parity_ok else 'violated'}")
     print(f"admissible: {'yes' if report.admissible else 'no'}")
     return EXIT_OK if report.admissible else EXIT_FAIL
@@ -231,10 +231,18 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops a failed help write, or leaves it to the exit flush: write
+    # and flush here, so that ``main`` exits 141 on a closed stdout after
+    # ``--help`` too.  Subparsers inherit the class.
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamdec",
         description="Hamilton decompositions of infinite circulant graphs: "
                     "construct, verify, search, draw.")
@@ -295,8 +303,8 @@ def _join_negative_range(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_range(argv))
     try:
+        args = build_parser().parse_args(_join_negative_range(argv))
         code = args.func(args)
         sys.stdout.flush()  # inside the try, so a closed stdout fails here
         return code

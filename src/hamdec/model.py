@@ -26,7 +26,8 @@ INT64_MAX = 2**63 - 1
 # upper bound before any progression is built; the figures also draw at most
 # this many vertices.  Measured peaks over a 15 MB interpreter (Python 3.11,
 # 64-bit Linux): the window oracle takes about 175 B per edge of the bound
-# with its vertex (S+ = {1}: 36 MB RSS at the cap), an SVG figure about
+# with its vertex (S+ = {1} at 62,499 periods: 35.5 MB RSS; the default
+# 5-period window of 4-valent (2837, 2839): 30.6 MB), an SVG figure about
 # 300 B per edge, 285 B per vertex and 180 B more per labelled vertex
 # (period 1, every vertex labelled: 106 MB RSS at the cap).  Both run at the
 # cap under a 128 MiB ``ulimit -v``; the benchmark's windows stay under
@@ -145,15 +146,6 @@ class ConnectionSet(Value):
             if a < 1:
                 raise ValueError(f"generator magnitudes must be positive, got {a}")
         set_field(self, "s_plus", tuple(entries))
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.s_plus
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.s_plus)
-
-    def __len__(self) -> int:
-        return len(self.s_plus)
 
     def __str__(self) -> str:
         return "{" + ", ".join(map(str, self.s_plus)) + "}"

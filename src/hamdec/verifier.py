@@ -8,8 +8,8 @@ directly.  The two must always agree.
 """
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, filterfalse, islice, repeat
+from collections import Counter, defaultdict
+from itertools import chain, compress, filterfalse, islice, repeat
 
 from .admissibility import analyze
 from .model import DecompositionCertificate, Value, materialize_edges
@@ -158,8 +158,9 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     sub-window where no boundary effect can bite: degree exactly 2 per path,
     no cycles, a single connected piece per path, pairwise edge disjointness,
     and that every graph edge is covered exactly once.  The union-find still
-    walks every edge of the slab, and the last two checks hash every edge as
-    an integer key ``u * m + d``; only the messages decode it to ``(u, u + d)``.
+    walks every edge of the slab, and the last two checks keep, per edge
+    length ``d``, the set of lower endpoints ``u`` of the edges ``(u, u + d)``
+    used so far.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -180,15 +181,15 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     paths = materialize_edges(cert, w_lo, w_hi)
 
     # Degree 2 at every core vertex, per path.  Core vertices keep all their
-    # true neighbours inside the slab, so slab degree equals true degree.  A
-    # core of more vertices than the path has edges fails: only scan it then.
+    # true neighbours inside the slab, so slab degree equals true degree.  The
+    # scan stops at the first core vertex of another degree, which lies among
+    # the first (edges + 1) core vertices, however large the period.
     core = range(core_lo, core_hi + 1)
     for progs in paths:
         degree = Counter(chain.from_iterable(
             [r for r, _ in progs] + [range(r.start + d, r.stop + d, n) for r, d in progs]))
-        if (core_hi - core_lo >= sum(len(r) for r, _ in progs)
-                or list(map(degree.get, core, repeat(0))).count(2) != len(core)):
-            x = next(x for x in core if degree.get(x, 0) != 2)
+        x = next(compress(core, map((2).__ne__, map(degree.get, core, repeat(0)))), None)
+        if x is not None:
             return WindowCheck(False, f"vertex {x} has degree {degree.get(x, 0)}")
 
     # Acyclic inside the slab, and the core vertices lie on one connected
@@ -219,28 +220,24 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
         if len(roots) > 1:
             return WindowCheck(False, "path is disconnected inside the window")
 
-    # Pairwise edge-disjoint (each path is a forest, so repeats no edge of its
-    # own), and every graph edge inside the core is used exactly once.  An
-    # edge (u, u + d) is the integer u * m + d: m exceeds every starter edge
-    # (a damaged starter may hold lengths outside S+) and every length in S+,
-    # so the key is unique and keys order x-major like the pairs.  Of the
-    # first uncovered edge of each length, the smallest comes first.
-    m = 1 + max(max_s, max((d for _, d in paths[0]), default=0))
-
-    def keys(progs):
-        return chain.from_iterable(
-            range(r.start * m + d, r.stop * m + d, n * m) for r, d in progs)
-
-    seen: set[int] = set()
+    # Pairwise edge-disjoint, and every graph edge inside the core is used
+    # exactly once.  ``used[d]`` holds the lower endpoints of the length-d
+    # edges seen so far, and a progression is itself the set of its edges'
+    # lower endpoints.  Each path is a forest and repeats no edge of its own,
+    # so an endpoint already in ``used[d]`` is an edge of an earlier path.  Of
+    # the first uncovered edge of each length, the smallest comes first.
+    used: dict[int, set[int]] = defaultdict(set)
     for progs in paths:
-        if not seen.isdisjoint(keys(progs)):
-            u, d = divmod(next(filter(seen.__contains__, keys(progs))), m)
-            return WindowCheck(False, f"edge {(u, u + d)} used by two paths")
-        seen.update(keys(progs))
-    missing = [key for d in s_plus for key in islice(filterfalse(
-        seen.__contains__, range(core_lo * m + d, (core_hi - d) * m + d + 1, m)), 1)]
+        for r, d in progs:
+            lower = used[d]
+            if not lower.isdisjoint(r):
+                u = next(filter(lower.__contains__, r))
+                return WindowCheck(False, f"edge {(u, u + d)} used by two paths")
+            lower.update(r)
+    missing = [(u, d) for d in s_plus for u in islice(filterfalse(
+        used[d].__contains__, range(core_lo, core_hi - d + 1)), 1)]
     if missing:
-        u, d = divmod(min(missing), m)
+        u, d = min(missing)
         return WindowCheck(False, f"edge {(u, u + d)} not covered")
 
     return WindowCheck(True)

@@ -471,18 +471,30 @@ def closed_stdout(*argv, unbuffered=False):
     ["verify", "--cert", "{cert}"],
     ["buratti", "--k", "5", "--lengths", "1,1,2,2"],
     ["figure", "--cert", "{cert}", "--range", "0..16"],
+    pytest.param(["--help"], id="help"),
+    pytest.param(["construct", "--help"], id="construct-help"),
+    pytest.param(["buratti", "--help"], id="buratti-help"),
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_141(tmp_path, argv, unbuffered):
     # Buffered, output this short meets the closed pipe at the final flush;
     # unbuffered, at the first print.  Neither gives a traceback, an internal
-    # error or exit 120.
+    # error or exit 120, and neither does help, which argparse would print
+    # before any command runs.
     cert = tmp_path / "cert.json"
     cert.write_text(to_json(construct(ConnectionSet([1, 2, 3, 4])), provenance="test"))
     code, err, seconds = closed_stdout(*(arg.format(cert=cert) for arg in argv),
                                        unbuffered=unbuffered)
     assert (code, err) == (141, b"")
     assert seconds < 0.5
+
+
+def test_closed_stdout_keeps_usage_errors():
+    # A usage error writes only to stderr, so a closed stdout changes nothing.
+    code, err, _ = closed_stdout("check")
+    assert code == 2
+    assert err.decode().startswith("usage: hamdec check [-h] --set S\n")
+    assert "error: the following arguments are required: --set" in err.decode()
 
 
 class TestParserReuse:

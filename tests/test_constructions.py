@@ -222,7 +222,7 @@ class TestSkipK:
     @pytest.mark.parametrize("k", [k for k in range(3, 25) if k % 4 in (2, 3)])
     def test_one_edge_per_length(self, k):
         cert = construct_skip_k(k)
-        assert edge_length_multiset(cert.starter) == {d: 1 for d in cert.connection_set}
+        assert edge_length_multiset(cert.starter) == {d: 1 for d in cert.connection_set.s_plus}
         assert len(cert.offsets) == cert.period == k
 
 
@@ -250,7 +250,7 @@ class TestEvenRun:
     @pytest.mark.parametrize("t", list(range(4, 31, 2)))
     def test_one_edge_per_length(self, t):
         cert = construct_even_run(t)
-        assert edge_length_multiset(cert.starter) == {d: 1 for d in cert.connection_set}
+        assert edge_length_multiset(cert.starter) == {d: 1 for d in cert.connection_set.s_plus}
         assert len(cert.offsets) == cert.period == t + 1
 
 

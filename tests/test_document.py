@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from hamdec import CertificateFormatError, ConnectionSet, DecompositionCertificate, construct
+from hamdec import (
+    CertificateFormatError, ConnectionSet, DecompositionCertificate, VertexOverflow, construct)
 from hamdec.document import from_json, to_json
 from hamdec.model import INT64_MAX, INT64_MIN
 
@@ -69,3 +70,41 @@ def test_from_json_rejects_non_integers(field, entry):
     with pytest.raises(CertificateFormatError) as info:
         from_json(json.dumps(payload))
     assert str(info.value) == f"expected a list of integers, got {payload[field]!r}"
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"connection_set": MISSING}, CertificateFormatError, "missing field 'connection_set'"),
+    ({"period": MISSING}, CertificateFormatError, "missing field 'period'"),
+    ({"period": 1.5}, CertificateFormatError, "period must be an integer"),
+    ({"period": True}, CertificateFormatError, "period must be an integer"),
+    ({"provenance": 3}, CertificateFormatError, "provenance must be a string"),
+    # Several faults: the fields are read in document order, each list's
+    # entries checked as it is read, and only then the period and provenance.
+    ({"period": 1.5, "offsets": [0.5]}, CertificateFormatError,
+     "expected a list of integers, got [0.5]"),
+    ({"starter_vertices": [0, 1.0, 4], "offsets": MISSING}, CertificateFormatError,
+     "expected a list of integers, got [0, 1.0, 4]"),
+    ({"connection_set": [1, True], "period": MISSING}, CertificateFormatError,
+     "expected a list of integers, got [1, True]"),
+    ({"offsets": MISSING, "provenance": 3}, CertificateFormatError, "missing field 'offsets'"),
+    ({"period": 1.5, "provenance": 3}, CertificateFormatError, "period must be an integer"),
+    # The document's checks come before the certificate's own, and the
+    # certificate checks its starter before its offsets.
+    ({"starter_vertices": [0, 2**70], "provenance": 3}, CertificateFormatError,
+     "provenance must be a string"),
+    ({"starter_vertices": [0, 2**70], "offsets": [7]}, VertexOverflow,
+     f"vertex {2**70} outside the signed 64-bit range"),
+])
+def test_from_json_refusal_order(changes, error, message):
+    payload = json.loads(to_json(construct(ConnectionSet([1, 3])), provenance="p"))
+    for field, value in changes.items():
+        if value is MISSING:
+            del payload[field]
+        else:
+            payload[field] = value
+    with pytest.raises(error) as info:
+        from_json(json.dumps(payload))
+    assert str(info.value) == message

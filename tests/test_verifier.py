@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -88,7 +89,7 @@ class TestVerifyCertificate:
     def test_counting_identity(self):
         for cert in helpers.family_corpus(four_valent_max_b=15, one_two_c_max=20):
             assert verify_certificate(cert).accepted
-            n, k = cert.period, len(cert.connection_set)
+            n, k = cert.period, len(cert.connection_set.s_plus)
             tables = helpers.reference_residue_tables(cert)
             assert all(len(rs) == n // k for rs in tables.values())
 
@@ -293,6 +294,25 @@ def test_window_oracle_huge_period_fails_fast():
     check = window_oracle(cert, 3)
     assert time.perf_counter() - start < 1.0
     assert check == WindowCheck(False, f"vertex {-(2 * 10**15 - 3)} has degree 0")
+
+
+def test_window_oracle_memory_with_many_lengths():
+    # A zigzag starter 0, 1, n-1, 2, n-2, ..., n has nearly n distinct edge
+    # lengths, each used a handful of times in the slab: the oracle's
+    # bookkeeping must grow with the edges, not with lengths times window.
+    n = 3001
+    starter = [0, *(v for i in range(1, n // 2 + 1) for v in (i, n - i)), n]
+    lengths = {abs(v - u) for u, v in zip(starter, starter[1:])}
+    assert len(lengths) == 2999
+    cert = DecompositionCertificate(ConnectionSet(lengths), n, FinitePath(starter), (0,))
+    tracemalloc.start()
+    try:
+        check = window_oracle(cert, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check == WindowCheck(False, "edge (-3003, -3002) not covered")
+    assert peak < 16 * 2**20
 
 
 class TestCrossValidation:
