@@ -103,13 +103,19 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _window_periods(text: str) -> int | str:
-    """``--window-periods``: a period count, or ``auto`` for the smallest window that works."""
+    """``--window-periods``: at least 3 periods, or ``auto`` for the smallest window that works.
+
+    A count below 3 is refused here, before the exact check runs.
+    """
     if text == "auto":
         return text
     try:
-        return int(text)
+        periods = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
+    if periods < 3:
+        raise argparse.ArgumentTypeError(f"periods must be at least 3, got {text!r}")
+    return periods
 
 
 def _write_out(path: str, text: str) -> None:

@@ -25,13 +25,13 @@ INT64_MAX = 2**63 - 1
 # The most edges ``materialize_edges`` may describe in one call, counted as an
 # upper bound before any progression is built; the figures also draw at most
 # this many vertices.  Measured peaks over a 15 MB interpreter (Python 3.11,
-# 64-bit Linux): the window oracle takes about 175 B per edge of the bound
-# with its vertex (S+ = {1} at 62,499 periods: 35.5 MB RSS; the default
-# 5-period window of 4-valent (2837, 2839): 30.6 MB), an SVG figure about
-# 300 B per edge, 285 B per vertex and 180 B more per labelled vertex
-# (period 1, every vertex labelled: 106 MB RSS at the cap).  Both run at the
-# cap under a 128 MiB ``ulimit -v``; the benchmark's windows stay under
-# 40,000 edges.
+# 64-bit Linux): the window oracle takes about 95 B per edge of the bound
+# (S+ = {1} at 62,499 periods: 25.8 MB RSS; the default 5-period window of
+# 4-valent (2837, 2839): 26.0 MB), an SVG figure about 300 B per edge, 285 B
+# per vertex and 180 B more per labelled vertex (period 1, every vertex
+# labelled: 106 MB RSS at the cap).  Both run at the cap under a 128 MiB
+# ``ulimit -v`` (the tests run the oracle's two cases so); the benchmark's
+# windows stay under 40,000 edges.
 MAX_WINDOW_EDGES = 125_000
 
 

@@ -8,12 +8,16 @@ directly.  The two must always agree.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from itertools import chain, compress, filterfalse, islice, repeat
+from collections import defaultdict
+from itertools import filterfalse, islice
 
 from .admissibility import analyze
 from .model import DecompositionCertificate, Value, materialize_edges
 from .errors import WindowTooSmall
+
+# Adds 1 to each byte, saturating at 255: ``bytes.translate`` counts a
+# vertex along a whole progression at C speed.
+_INC = bytes(range(1, 256)) + b"\xff"
 
 PATH_BROKEN = "PathBroken"
 ENDPOINT_MISMATCH = "EndpointMismatch"
@@ -157,10 +161,12 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     of translates per starter edge and offset, and checks, inside a core
     sub-window where no boundary effect can bite: degree exactly 2 per path,
     no cycles, a single connected piece per path, pairwise edge disjointness,
-    and that every graph edge is covered exactly once.  The union-find still
-    walks every edge of the slab, and the last two checks keep, per edge
-    length ``d``, the set of lower endpoints ``u`` of the edges ``(u, u + d)``
-    used so far.
+    and that every graph edge is covered exactly once.  Degrees are counted
+    one byte per vertex on the first (edges + 1) vertices of the core, each
+    progression's endpoints as one extended slice of step n.  The union-find
+    still walks every edge of the slab, and the last two checks keep, per
+    edge length ``d``, the set of lower endpoints ``u`` of the edges
+    ``(u, u + d)`` used so far, walking each progression once.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -182,15 +188,31 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
 
     # Degree 2 at every core vertex, per path.  Core vertices keep all their
     # true neighbours inside the slab, so slab degree equals true degree.  The
-    # scan stops at the first core vertex of another degree, which lies among
-    # the first (edges + 1) core vertices, however large the period.
-    core = range(core_lo, core_hi + 1)
+    # first core vertex of another degree lies among the first (edges + 1)
+    # core vertices, however large the period: degree 2 at all of them would
+    # take more than the path's 2 * edges endpoints.  So the counts cover only
+    # those, one byte each from ``core_lo``.  A progression's lower endpoints,
+    # then its upper ones, are an extended slice of step n: a start left of
+    # the array moves to its first index inside, and a stop left of it leaves
+    # nothing to count.  A byte saturates at 255, so such a vertex is
+    # recounted over the progressions.
+    width = core_hi - core_lo + 1
     for progs in paths:
-        degree = Counter(chain.from_iterable(
-            [r for r, _ in progs] + [range(r.start + d, r.stop + d, n) for r, d in progs]))
-        x = next(compress(core, map((2).__ne__, map(degree.get, core, repeat(0)))), None)
-        if x is not None:
-            return WindowCheck(False, f"vertex {x} has degree {degree.get(x, 0)}")
+        deg = bytearray(min(width, sum([len(r) for r, _ in progs]) + 1))
+        for r, d in progs:
+            a, b = r.start - core_lo, r.stop - core_lo
+            if b > 0:
+                i = a % n if a < 0 else a
+                deg[i:b:n] = deg[i:b:n].translate(_INC)
+            a, b = a + d, b + d
+            if b > 0:
+                i = a % n if a < 0 else a
+                deg[i:b:n] = deg[i:b:n].translate(_INC)
+        i = len(deg) - len(deg.lstrip(b"\x02"))
+        if i < len(deg):
+            x = core_lo + i
+            degree = deg[i] if deg[i] < 255 else sum((x in r) + (x - d in r) for r, d in progs)
+            return WindowCheck(False, f"vertex {x} has degree {degree}")
 
     # Acyclic inside the slab, and the core vertices lie on one connected
     # piece.  Any translate touching the connectivity core must fit in the
@@ -223,17 +245,20 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # Pairwise edge-disjoint, and every graph edge inside the core is used
     # exactly once.  ``used[d]`` holds the lower endpoints of the length-d
     # edges seen so far, and a progression is itself the set of its edges'
-    # lower endpoints.  Each path is a forest and repeats no edge of its own,
-    # so an endpoint already in ``used[d]`` is an edge of an earlier path.  Of
-    # the first uncovered edge of each length, the smallest comes first.
+    # lower endpoints, so a progression that does not grow ``used[d]`` by its
+    # length shares an edge.  Each path is a forest and repeats no edge of its
+    # own, so that edge is one of an earlier path's, named only then.  Of the
+    # first uncovered edge of each length, the smallest comes first.
     used: dict[int, set[int]] = defaultdict(set)
-    for progs in paths:
+    for k, progs in enumerate(paths):
         for r, d in progs:
             lower = used[d]
-            if not lower.isdisjoint(r):
-                u = next(filter(lower.__contains__, r))
-                return WindowCheck(False, f"edge {(u, u + d)} used by two paths")
+            before = len(lower)
             lower.update(r)
+            if len(lower) != before + len(r):
+                earlier = {u for other in paths[:k] for q, e in other if e == d for u in q}
+                u = next(filter(earlier.__contains__, r))
+                return WindowCheck(False, f"edge {(u, u + d)} used by two paths")
     missing = [(u, d) for d in s_plus for u in islice(filterfalse(
         used[d].__contains__, range(core_lo, core_hi - d + 1)), 1)]
     if missing:

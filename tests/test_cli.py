@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -229,6 +230,21 @@ class TestVerify:
             main(["verify", "--cert", str(path), "--window-periods", "five"])
         assert info.value.code == 2
         assert "expected an integer or 'auto', got 'five'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("periods", ["2", "0", "-1"])
+    def test_window_periods_below_3_refused_before_the_exact_check(self, capsys, tmp_path,
+                                                                   periods):
+        path, _ = self.make_cert_file(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--cert", str(path), "--window-periods", periods])
+        out = capsys.readouterr()
+        assert (info.value.code, out.out) == (2, "")
+        assert f"argument --window-periods: periods must be at least 3, got '{periods}'" in out.err
+
+    def test_window_periods_3_is_accepted(self, capsys, tmp_path):
+        path, _ = self.make_cert_file(tmp_path)
+        code, out, _ = run(capsys, "verify", "--cert", str(path), "--window-periods", "3")
+        assert (code, out) == (0, "exact check: accepted\nwindow oracle (3 periods): accepted\n")
 
 
 class TestBuratti:
@@ -495,6 +511,30 @@ def test_closed_stdout_keeps_usage_errors():
     assert code == 2
     assert err.decode().startswith("usage: hamdec check [-h] --set S\n")
     assert "error: the following arguments are required: --set" in err.decode()
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+
+@pytest.mark.parametrize("s, periods", [("1", 62499), ("2837,2839", 5)])
+def test_window_oracle_at_the_cap_runs_in_128_mib(tmp_path, s, periods):
+    # The two largest windows under MAX_WINDOW_EDGES that its comment
+    # measures: one more period is refused, and the oracle runs at the cap
+    # in a fresh process limited to 128 MiB of address space.
+    cert = construct(ConnectionSet([int(x) for x in s.split(",")]))
+    bound = len(cert.offsets) * cert.starter.edge_count * (2 * periods + 1)
+    cap = hamdec.model.MAX_WINDOW_EDGES
+    assert bound <= cap < bound + len(cert.offsets) * cert.starter.edge_count * 2
+    path = tmp_path / "cert.json"
+    path.write_text(to_json(cert))
+    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "hamdec.cli", "verify", "--cert", str(path),
+                           "--window-periods", str(periods)],
+                          env=env, preexec_fn=_limit_address_space, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith(f"window oracle ({periods} periods): accepted\n")
 
 
 class TestParserReuse:

@@ -250,6 +250,15 @@ def test_window_oracle_matches_reference(case):
     # The first uncovered edges are (-2, -1) and (-3, 0): the smallest x wins,
     # though its length is the larger.
     ((1, 3), 3, (-3, -2, 2, 0), (0,), "edge (-3, 0) not covered"),
+    # The second path's first progression (length 1) is disjoint from the
+    # first path; its second (length 3) is not.
+    ((1, 3), 6, (0, 1, 4, 5, 2, 3, 6), (0, 1), "edge (-16, -13) used by two paths"),
+    # The third path shares an edge with the second, none with the first,
+    # and again not in its first progression.
+    ((1, 2, 3, 4), 8, (0, -1, 1, 5, 2, 3, 6, 4, 8), (0, 2, 7), "edge (-18, -16) used by two paths"),
+    # A foreign edge (-3, 3) whose lower endpoint lies left of the core and
+    # whose upper one right of it: neither end counts at the core's vertices.
+    ((1,), 1, (0, 6), (0,), "vertex -1 has degree 0"),
 ])
 def test_window_failure_messages(s_plus, period, starter, offsets, failure):
     cert = DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter), offsets)
@@ -286,14 +295,33 @@ def test_window_oracle_refuses_large_window(monkeypatch):
 
 
 def test_window_oracle_huge_period_fails_fast():
-    # The core holds more vertices than any path has edges, so only the
-    # scan for the first vertex of wrong degree runs.
+    # The core holds more vertices than any path has edges, so the degrees
+    # are counted on the first (edges + 1) core vertices only: neither the
+    # time nor the memory grows with the period.
     cert = DecompositionCertificate(
         ConnectionSet([1, 3]), 10**15, FinitePath((0, 1, 4)), (0, 1))
-    start = time.perf_counter()
-    check = window_oracle(cert, 3)
-    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        check = window_oracle(cert, 3)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
     assert check == WindowCheck(False, f"vertex {-(2 * 10**15 - 3)} has degree 0")
+
+
+@pytest.mark.parametrize("k, degree", [(127, 254), (128, 256)])
+def test_window_oracle_exact_degree_past_a_byte(k, degree):
+    # Period 1 and a starter 0, 1, ..., k: every translate of every starter
+    # edge is an edge (u, u + 1), so each vertex has degree 2k.  The counts
+    # saturate at 255, and the message must still give the exact degree.
+    cert = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath(range(k + 1)), (0,))
+    failure = WindowCheck(False, f"vertex -1 has degree {degree}")
+    assert window_oracle(cert, 3) == failure
+    assert helpers.reference_window_oracle(cert, 3) == failure
 
 
 def test_window_oracle_memory_with_many_lengths():
