@@ -41,7 +41,6 @@ from .model import (
     ConnectionSet,
     DecompositionCertificate,
     FinitePath,
-    LengthMultiset,
     circular_length,
 )
 from .verifier import (
@@ -64,7 +63,6 @@ __all__ = [
     "EmptyConnectionSet",
     "FinitePath",
     "HamdecError",
-    "LengthMultiset",
     "LengthMultisetMismatch",
     "NotAdmissible",
     "NotPrime",

@@ -22,11 +22,12 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import combinations_with_replacement, starmap
+from itertools import combinations_with_replacement, repeat
 
 from .errors import BadMultisetSize, NotPrime
-from .model import LengthMultiset, Value
+from .model import Value
 
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
@@ -57,26 +58,42 @@ class SearchOutcome(Value):
         return STATUS_FOUND if self.found else STATUS_EXHAUSTED
 
 
-def _coerce_multiset(k: int, lengths) -> LengthMultiset:
-    if isinstance(lengths, LengthMultiset):
-        if lengths.modulus != k:
-            raise BadMultisetSize(
-                f"multiset has modulus {lengths.modulus}, search asked for {k}")
-        return lengths
-    return LengthMultiset(k, lengths)
+def find_path(k: int, lengths: Mapping[int, int] | Iterable[int]) -> SearchOutcome:
+    """Complete search for a Hamilton path on Z_k realizing the k - 1 given lengths.
 
-
-def find_path(k: int, lengths: LengthMultiset | Mapping[int, int] | Iterable[int]) -> SearchOutcome:
-    """Complete search for a Hamilton path on Z_k realizing the length multiset.
-
-    A k above ``MAX_K`` raises BadMultisetSize before the search allocates anything.
+    ``lengths`` is an iterable of lengths or a length -> count mapping.  The
+    checks run in this order: k must be an int >= 2 (ValueError); then, as
+    BadMultisetSize, each count of a mapping must be an int >= 0, each
+    length an int (not a bool) in 1..k//2, the lengths must total k - 1, and
+    k must not exceed ``MAX_K``, which is refused before the search
+    allocates anything.
     """
-    multiset = _coerce_multiset(k, lengths)
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {k!r}")
+    if isinstance(lengths, Mapping):
+        for length, count in lengths.items():
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise BadMultisetSize(f"multiplicity {count!r} for length {length!r} "
+                                      f"is not an integer")
+            if count < 0:
+                raise BadMultisetSize(f"negative multiplicity for length {length}")
+        entries = counts = {d: c for d, c in lengths.items() if c}
+    else:
+        entries = tuple(lengths)
+        counts = Counter(entries)
+    # Each entry, not just each key: a bool or a float equal to an earlier int
+    # length would merge into its count.
+    for length in entries:
+        if not isinstance(length, int) or isinstance(length, bool) or not 1 <= length <= k // 2:
+            raise BadMultisetSize(f"length {length!r} outside 1..{k // 2} for modulus {k}")
+    total = sum(counts.values())
+    if total != k - 1:
+        raise BadMultisetSize(f"multiset has {total} lengths, expected exactly {k - 1}")
     if k > MAX_K:
         raise BadMultisetSize(f"k={k} is above the search cap of {MAX_K}")
-    present = [d for d, _ in multiset.counts]
+    present = list(counts)
     key = [0] * (k // 2 + 1)  # key[d] = d - remaining[d] * k: sorts by (-remaining, d)
-    for d, c in multiset.counts:
+    for d, c in counts.items():
         key[d] = d - c * k
     visited = bytearray(k)
     visited[0] = 1
@@ -155,12 +172,11 @@ def unrank_multiset(p: int, index: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _search_task(task: tuple[int, tuple[int, ...]]) -> tuple[tuple[int, ...] | None, int, float]:
-    # A worker sends back a tuple: an unpickled value carries a materialised
-    # ``__dict__`` (225 B against 136 B) and pickles to twice the bytes.
-    k, lengths = task
-    outcome = find_path(k, lengths)
-    return outcome.witness, outcome.nodes_expanded, outcome.elapsed
+def _search(k: int, lengths: tuple[int, ...]) -> SearchOutcome:
+    # What a pool worker runs.  Pickled by name, it looks ``find_path`` up at
+    # call time: a wrapper rebound over ``find_path``, as ``bench/spans.py``
+    # installs, is a closure that pickle refuses.
+    return find_path(k, lengths)
 
 
 class SweepReport(Value):
@@ -208,17 +224,14 @@ def sweep(p: int, *, sample: int | None = None, seed: int = 0, jobs: int = 1) ->
         multisets = list(enumerate_multisets(p))
         sampled = False
 
-    tasks = [(p, m) for m in multisets]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    workers = min(jobs, os.cpu_count() or 1, len(multisets))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported late: costs every CLI start
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_search_task, tasks, chunksize=max(1, len(tasks) // (workers * 8))))
+            outcomes = list(pool.map(_search, repeat(p), multisets,
+                                     chunksize=max(1, len(multisets) // (workers * 8))))
     else:
-        raw = [_search_task(t) for t in tasks]
+        outcomes = map(find_path, repeat(p), multisets)
 
-    # Built by position: the sweep builds one outcome per search, and
-    # ``Value.__init__`` binds keywords about 1.5 times slower.
-    entries = tuple(zip(multisets, starmap(SearchOutcome, raw)))
-    return SweepReport(p=p, total=total, sampled=sampled, entries=entries,
+    return SweepReport(p=p, total=total, sampled=sampled, entries=tuple(zip(multisets, outcomes)),
                        elapsed=time.perf_counter() - started)

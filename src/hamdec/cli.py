@@ -66,8 +66,8 @@ def _parse_lengths(text: str) -> dict[int, int]:
     """Comma-separated lengths; 'vxn' or 'v×n' repeats v n times.
 
     Returns the multiplicity of each length, in order of first occurrence,
-    without expanding the repeats: ``LengthMultiset`` then checks the
-    lengths and their total against the modulus before anything is built.
+    without expanding the repeats: ``find_path`` then checks the lengths
+    and their total against k before it searches.
     """
     counts: dict[int, int] = {}
     for part in text.split(","):

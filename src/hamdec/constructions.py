@@ -26,7 +26,6 @@ from .model import (
     ConnectionSet,
     DecompositionCertificate,
     FinitePath,
-    LengthMultiset,
     circular_length,
 )
 from .verifier import verify_certificate
@@ -423,8 +422,7 @@ def construct_with_family(s: ConnectionSet) -> tuple[str, DecompositionCertifica
     if k >= 3 and k % 2 == 1 and k in sp and all(a % k for a in sp if a != k):
         _check_period(s, "cyclic-lift", 2 * k)
         a_list = tuple(a for a in sp if a != k)
-        lengths = LengthMultiset(k, [circular_length(0, a, k) for a in a_list])
-        outcome = find_path(k, lengths)
+        outcome = find_path(k, [circular_length(0, a, k) for a in a_list])
         if outcome.found:
             return "cyclic-lift", construct_from_zk_path(k, a_list, FinitePath(outcome.witness))
         tried.append("cyclic-lift (search exhausted)")

@@ -1,4 +1,4 @@
-"""Value types for connection sets, paths, length multisets and decomposition certificates.
+"""Value types for connection sets, paths and decomposition certificates.
 
 Everything in this module is an immutable value; instances can be shared
 freely between threads or processes.  Vertices are plain Python integers but
@@ -9,10 +9,9 @@ producing a huge certificate.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 
 from .errors import (
-    BadMultisetSize,
     EmptyConnectionSet,
     RepeatedVertex,
     VertexOverflow,
@@ -60,9 +59,11 @@ def _check_vertices(values: Iterable[int]) -> tuple[int, ...]:
 
 
 # Writes one field of a value, past the refusing ``__setattr__``.  It keeps
-# the fields inline in the instance: touching ``self.__dict__`` instead would
-# build a dict per instance, 279 bytes for a SearchOutcome instead of 135, and
-# a full p = 19 sweep keeps 1.56M of them.
+# the fields inline in the instance: touching ``self.__dict__`` instead, as
+# pickle's default state restore does, would build a dict per instance, 279
+# bytes for a SearchOutcome instead of 135, and a full p = 19 sweep keeps 1.56M
+# of them.  So ``Value.__reduce__`` rebuilds through the constructor, which
+# writes with this.
 set_field = object.__setattr__
 
 
@@ -76,8 +77,9 @@ class Value:
     validates its input defines its own ``__init__`` and writes each field
     with ``set_field``.  Two values are equal iff they have the same class and
     equal field tuples, the hash is that of the field tuple, and the repr
-    reads ``Name(field=repr, ...)``.  Instances keep a ``__dict__``, so pickle
-    and copy work; assignment and deletion raise AttributeError.
+    reads ``Name(field=repr, ...)``.  Pickle and copy rebuild a value by
+    calling its class with the field tuple, so a validating constructor checks
+    the copy too; assignment and deletion raise AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
@@ -106,6 +108,9 @@ class Value:
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -217,7 +222,7 @@ class DecompositionCertificate(Value):
             connection_set = ConnectionSet(connection_set)
         if not isinstance(starter, FinitePath):
             starter = FinitePath(starter)
-        if not isinstance(period, int) or period < 1:
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise ValueError(f"period must be a positive integer, got {period!r}")
         offs = tuple(sorted(offsets))
         if not offs:
@@ -253,33 +258,3 @@ def materialize_edges(cert: DecompositionCertificate, lo: int, hi: int
     steps = [(u - lo, hi - v + u + 1, v - u) for u, v in cert.starter.edges()]
     return [[(range(lo + (a + o) % n, stop, n), d) for a, stop, d in steps]
             for o in cert.offsets]
-
-
-class LengthMultiset(Value):
-    """A multiset of modulus-1 many edge lengths drawn from 1..modulus//2."""
-
-    modulus: int
-    counts: tuple[tuple[int, int], ...]  # sorted (length, multiplicity) pairs
-
-    def __init__(self, modulus: int, lengths: Mapping[int, int] | Iterable[int]):
-        if not isinstance(modulus, int) or modulus < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        if isinstance(lengths, Mapping):
-            counter = Counter()
-            for length, count in lengths.items():
-                if count < 0:
-                    raise BadMultisetSize(f"negative multiplicity for length {length}")
-                if count:
-                    counter[length] = count
-        else:
-            counter = Counter(lengths)
-        for length in counter:
-            if not isinstance(length, int) or not 1 <= length <= modulus // 2:
-                raise BadMultisetSize(
-                    f"length {length!r} outside 1..{modulus // 2} for modulus {modulus}")
-        total = sum(counter.values())
-        if total != modulus - 1:
-            raise BadMultisetSize(
-                f"multiset has {total} lengths, expected exactly {modulus - 1}")
-        set_field(self, "modulus", modulus)
-        set_field(self, "counts", tuple(sorted(counter.items())))

@@ -11,7 +11,6 @@ from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
     FinitePath,
-    LengthMultiset,
     SearchOutcome,
     VertexOverflow,
     WindowCheck,
@@ -68,8 +67,7 @@ def reference_find_path(k: int, lengths) -> SearchOutcome:
     from the multiset coercion: one call per vertex, so it needs a recursion
     limit above k.  The iterative search must match its witness and node count.
     """
-    multiset = LengthMultiset(k, lengths)
-    remaining = dict(multiset.counts)
+    remaining = Counter(lengths)
     visited = bytearray(k)
     visited[0] = 1
     path = [0]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from hamdec import (
     BadMultisetSize,
-    LengthMultiset,
     NotPrime,
     find_path,
     sweep,
@@ -42,11 +41,44 @@ class TestFindPath:
             find_path(5, [1, 1])
         with pytest.raises(BadMultisetSize):
             find_path(5, [1, 1, 2, 3])
-        with pytest.raises(BadMultisetSize):
-            find_path(5, LengthMultiset(7, [1, 1, 2, 2, 3, 3]))
 
-    def test_accepts_multiset_type(self):
-        assert find_path(5, LengthMultiset(5, {1: 2, 2: 2})).found
+    def test_accepts_count_mapping(self):
+        # A zero count takes no part, whatever its length.
+        for lengths in ({1: 2, 2: 2}, {2: 2, 1: 2, 7: 0}, [2, 1, 2, 1]):
+            outcome = find_path(5, lengths)
+            assert (outcome.witness, outcome.nodes_expanded) == ((0, 1, 4, 2, 3), 5)
+        assert find_path(9, {3: 8}).witness is None
+
+    def test_refusals(self):
+        # The message names the offending entry; the checks run in order.
+        for k, lengths, error, message in [
+            (1, [], ValueError, "modulus must be an integer >= 2, got 1"),
+            (5.0, [1, 1, 2, 2], ValueError, "modulus must be an integer >= 2, got 5.0"),
+            (True, [], ValueError, "modulus must be an integer >= 2, got True"),
+            (5, [1, 1, 2], BadMultisetSize, "multiset has 3 lengths, expected exactly 4"),
+            (5, [1, 1, 2, 3], BadMultisetSize, "length 3 outside 1..2 for modulus 5"),
+            (5, [0, 1, 2, 2], BadMultisetSize, "length 0 outside 1..2 for modulus 5"),
+            (5, ["a", 1, 2, 2], BadMultisetSize, "length 'a' outside 1..2 for modulus 5"),
+            (5, {1: -1, 2: 5}, BadMultisetSize, "negative multiplicity for length 1"),
+            # Counts are checked before lengths, lengths before the total.
+            (5, {7: 1, 1: -1}, BadMultisetSize, "negative multiplicity for length 1"),
+            (5, {7: 1, 1: 9}, BadMultisetSize, "length 7 outside 1..2 for modulus 5"),
+            (1_000_001, {1: 1_000_001}, BadMultisetSize,
+             "multiset has 1000001 lengths, expected exactly 1000000"),
+            # A count or length that is not an int never reaches the search.
+            (5, {1: 1.5, 2: 2.5}, BadMultisetSize,
+             "multiplicity 1.5 for length 1 is not an integer"),
+            (5, {1: 2, 2: 2.0}, BadMultisetSize,
+             "multiplicity 2.0 for length 2 is not an integer"),
+            (5, {1: 2, 2: True}, BadMultisetSize,
+             "multiplicity True for length 2 is not an integer"),
+            (3, [True, True], BadMultisetSize, "length True outside 1..1 for modulus 3"),
+            (5, [1, True, 2, 2], BadMultisetSize, "length True outside 1..2 for modulus 5"),
+            (5, [1, 1, 2, 2.0], BadMultisetSize, "length 2.0 outside 1..2 for modulus 5"),
+        ]:
+            with pytest.raises(error) as info:
+                find_path(k, lengths)
+            assert type(info.value) is error and str(info.value) == message
 
     def test_soundness_over_all_small_multisets(self):
         for k in range(3, 10):
@@ -151,6 +183,20 @@ class TestSweep:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
             "25ac22a26e4bd4392f23d49568fa5fc67982090f5de39b5808e24c5164e16e39"
 
+    @pytest.mark.parametrize("p, sample, jobs, size, nodes, digest", [
+        (17, 1000, 2, 1000, 199037,
+         "afae137fe5ea145eba1951532c8362b01f5e85fbc1f0818a2564e0e425ac9b8d"),
+        (19, 50, 1, 50, 15015,
+         "6bd79acd46cc3e9986b84ecd04e3aa5a6d5cb8c8f489e81205176d2c61cba97e"),
+    ])
+    def test_sampled_sweeps_pinned(self, p, sample, jobs, size, nodes, digest):
+        # The p = 17 sample runs on the process pool, the p = 19 one in process.
+        report = sweep(p, sample=sample, seed=0, jobs=jobs)
+        rows = [(m, o.witness, o.nodes_expanded) for m, o in report.entries]
+        assert len(rows) == size and report.sampled
+        assert sum(n for *_, n in rows) == nodes
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
     def test_parallel_results_identical(self):
         solo = sweep(7, jobs=1)
         multi = sweep(7, jobs=2)
@@ -216,8 +262,8 @@ class TestLimits:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         monkeypatch.setattr(buratti.os, "cpu_count", lambda: cpus)

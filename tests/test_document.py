@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 from hamdec import (
     CertificateFormatError, ConnectionSet, DecompositionCertificate, VertexOverflow, construct)
 from hamdec.document import from_json, to_json
@@ -60,6 +61,11 @@ def test_to_json_of_constructed_certificates():
         cert = construct(ConnectionSet(s))
         assert to_json(cert, str(s)) == reference_json(cert, str(s))
         assert to_json(cert) == reference_json(cert, "")
+
+
+def test_family_certificates_round_trip():
+    for cert in helpers.family_corpus():
+        assert from_json(to_json(cert, "p")) == ("p", cert)
 
 
 @pytest.mark.parametrize("field", ["connection_set", "starter_vertices", "offsets"])

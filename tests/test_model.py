@@ -14,8 +14,6 @@ from hamdec import (
     DecompositionCertificate,
     EmptyConnectionSet,
     FinitePath,
-    LengthMultiset,
-    BadMultisetSize,
     RepeatedVertex,
     VertexOverflow,
     WindowTooLarge,
@@ -115,22 +113,15 @@ def test_certificate_structural_validation():
     assert cert.offsets == (0, 3)  # normalized ascending
     with pytest.raises(ValueError):
         DecompositionCertificate(ConnectionSet([1, 3]), 0, FinitePath((0, 1)), (0,))
+    for period in (True, 1.0):
+        # JSON would write a bool period as ``true``, which ``from_json`` refuses.
+        with pytest.raises(ValueError) as info:
+            DecompositionCertificate(ConnectionSet([1]), period, FinitePath((0, 1)), (0,))
+        assert str(info.value) == f"period must be a positive integer, got {period!r}"
     with pytest.raises(ValueError):
         DecompositionCertificate(ConnectionSet([1, 3]), 6, FinitePath((0, 1)), (6,))
     with pytest.raises(ValueError):
         DecompositionCertificate(ConnectionSet([1, 3]), 6, FinitePath((0, 1)), ())
-
-
-def test_length_multiset_validation():
-    m = LengthMultiset(5, [1, 2, 2, 1])
-    assert m.counts == ((1, 2), (2, 2))
-    assert LengthMultiset(9, {3: 8}).counts == ((3, 8),)
-    with pytest.raises(BadMultisetSize):
-        LengthMultiset(5, [1, 1, 2])  # too few
-    with pytest.raises(BadMultisetSize):
-        LengthMultiset(5, [1, 1, 2, 3])  # 3 > floor(5/2)
-    with pytest.raises(BadMultisetSize):
-        LengthMultiset(5, {1: -1, 2: 5})
 
 
 def test_circular_length():
