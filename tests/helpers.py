@@ -1,16 +1,20 @@
 """Shared test machinery: brute-force oracles, fuzz mutations, certificate corpora."""
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
 from collections import Counter
+from functools import partial
 from itertools import permutations
+from pathlib import Path
 
 from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
     FinitePath,
+    HamdecError,
     SearchOutcome,
     VertexOverflow,
     WindowCheck,
@@ -23,7 +27,9 @@ from hamdec import (
     construct_one_two_c,
     construct_skip_k,
     construct_walecki_family,
+    verify_certificate,
 )
+from hamdec.document import to_json
 from hamdec.model import INT64_MAX, INT64_MIN, MAX_WINDOW_EDGES
 
 
@@ -535,3 +541,33 @@ def non_admissible_sets(count: int, seed: int = 3) -> list[ConnectionSet]:
         if not analyze(s).admissible:
             out.append(s)
     return out[:count]
+
+
+GOLDEN_CONSTRUCTIONS = Path(__file__).parent / "golden" / "constructions.txt"
+
+
+def golden_construction_cases():
+    """(case id, call) of the golden construction corpus, in file order.
+
+    Every size 1..399 of the four one-parameter families, then every
+    4-valent pair a < b < 80; sizes outside a family are refusals, and
+    refusals are cases too.
+    """
+    for family, build in (("consecutive", construct_consecutive), ("skip-k", construct_skip_k),
+                          ("even-run", construct_even_run), ("one-two-c", construct_one_two_c)):
+        for n in range(1, 400):
+            yield f"{family}:{n}", partial(build, n)
+    for b in range(2, 80):
+        for a in range(1, b):
+            yield f"four-valent:{a},{b}", partial(construct_4valent, a, b)
+
+
+def golden_digest(call) -> str:
+    """sha256 of the certificate's document and exact report, or of the refusal's type and message."""
+    try:
+        cert = call()
+    except (ValueError, HamdecError) as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    else:
+        text = to_json(cert) + repr(verify_certificate(cert))
+    return hashlib.sha256(text.encode()).hexdigest()
