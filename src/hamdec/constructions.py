@@ -38,28 +38,38 @@ from .verifier import verify_certificate
 MAX_PERIOD = 1_000_000
 
 
-def _check_period(cs: ConnectionSet, family: str, period: int) -> None:
+def _check_period(s_plus, family: str, period: int) -> None:
+    """Refuse a ``family`` certificate whose period is above the cap.
+
+    Every constructor calls this with the period of the certificate it
+    returns, before it builds the starter or delegates to another family.
+    The families whose S+ is a run of integers call it before they build
+    the set as well, and name the set by a short text such as ``{1..k}``.
+    """
     if period > MAX_PERIOD:
         raise PeriodTooLarge(
-            f"S+={cs} needs a {family} certificate of period {period}, "
+            f"S+={s_plus} needs a {family} certificate of period {period}, "
             f"more than the cap of {MAX_PERIOD}")
 
 
-def _require_admissible(s_plus, family: str, period: int) -> ConnectionSet:
-    """The connection set, once it is admissible and its certificate's period is within the cap.
-
-    Every constructor calls this before it builds anything, or delegates to
-    another constructor, with the period of the certificate it returns.
-    """
+def _admissible(s_plus) -> ConnectionSet:
     cs = ConnectionSet(s_plus)
     report = analyze(cs)
     if not report.admissible:
         raise NotAdmissible(cs, report)
-    _check_period(cs, family, period)
     return cs
 
 
-def _certified(cert: DecompositionCertificate) -> DecompositionCertificate:
+def _certified(cs: ConnectionSet, period: int, starter) -> DecompositionCertificate:
+    """The certificate of ``starter``, once the exact verifier accepts it.
+
+    Every family's k Hamilton paths are the translates of one path by the
+    multiples of n/k, so the offsets are ``range(0, n, n // k)`` for period n
+    and k = |S+|.  A certificate that fails verification is a construction
+    bug and raises ConstructionError instead of being returned.
+    """
+    cert = DecompositionCertificate(connection_set=cs, period=period, starter=starter,
+                                    offsets=range(0, period, period // len(cs.s_plus)))
     report = verify_certificate(cert)
     if not report.accepted:
         raise ConstructionError(
@@ -119,7 +129,8 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
     """
     if not (1 <= a < b):
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    cs = _require_admissible((a, b), "four-valent", 2 * b)
+    cs = _admissible((a, b))
+    _check_period(cs, "four-valent", 2 * b)
 
     t = b - a
     m = a % t
@@ -139,8 +150,7 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
         chain.block(top, (a, -b) * ((top - stop) // t + 1))
     chain.block(t, (a, b))
 
-    return _certified(DecompositionCertificate(
-        connection_set=cs, period=2 * b, starter=chain.path(), offsets=(0, b)))
+    return _certified(cs, 2 * b, chain.path())
 
 
 def _assign_signs(k: int, a_list, residue_steps) -> list[int]:
@@ -178,7 +188,8 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
         raise ValueError(f"need {k - 1} distinct magnitudes, got {a_list}")
     if any(a < 1 or a % k == 0 for a in a_list):
         raise ValueError(f"magnitudes must be positive and not divisible by {k}: {a_list}")
-    cs = _require_admissible((*a_list, k), "cyclic-lift", 2 * k)
+    cs = _admissible((*a_list, k))
+    _check_period(cs, "cyclic-lift", 2 * k)
 
     if not isinstance(q, FinitePath):
         q = FinitePath(q)
@@ -204,9 +215,7 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
     sigma = sums[-1]
 
     vertices = [0, *sums, sigma + k, *(c + k for c in reversed(sums[:-1])), k, 2 * k]
-    return _certified(DecompositionCertificate(
-        connection_set=cs, period=2 * k, starter=FinitePath(vertices),
-        offsets=tuple(range(0, 2 * k, 2))))
+    return _certified(cs, 2 * k, vertices)
 
 
 def walecki_path(k: int) -> FinitePath:
@@ -243,55 +252,44 @@ def construct_consecutive(k: int) -> DecompositionCertificate:
     """Certificate for S+ = {1, 2, ..., k}; admissible iff k = 0 or 1 mod 4."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    cs = _require_admissible(range(1, k + 1), "consecutive", 2 * k if k > 1 else 1)
+    _check_period(f"{{1..{k}}}", "consecutive", 2 * k if k > 1 else 1)
+    cs = _admissible(range(1, k + 1))
 
     if k == 1:
-        return _certified(DecompositionCertificate(
-            connection_set=cs, period=1, starter=FinitePath((0, 1)), offsets=(0,)))
+        return _certified(cs, 1, (0, 1))
     if k % 4 == 1:
         return construct_walecki_family(k, tuple(range(1, k)))
-    if k == 4:
-        starter = FinitePath((0, -1, 1, 5, 2, 3, 6, 4, 8))
-    else:
-        u = k // 2
-        v = 3 * k // 2
-        chain = _Chain(0)
-        chain.block(0, (-1, 2))
-        chain.block(1, _alternating(range(k - 2, 2, -1), first_positive=True))
-        chain.block(u - 1, (k, -(k - 1), 1, k - 1, -2))
-        chain.block(v - 2, _alternating(range(3, k - 1), first_positive=True))
-        chain.block(k, (k,))
-        starter = chain.path()
-    return _certified(DecompositionCertificate(
-        connection_set=cs, period=2 * k, starter=starter,
-        offsets=tuple(range(0, 2 * k, 2))))
+    u = k // 2
+    v = 3 * k // 2
+    chain = _Chain(0)
+    chain.block(0, (-1, 2))
+    chain.block(1, _alternating(range(k - 2, 2, -1), first_positive=True))
+    chain.block(u - 1, (k, -(k - 1), 1, k - 1, -2))
+    chain.block(v - 2, _alternating(range(3, k - 1), first_positive=True))
+    chain.block(k, (k,))
+    return _certified(cs, 2 * k, chain.path())
 
 
 def construct_skip_k(k: int) -> DecompositionCertificate:
     """Certificate for S+ = {1, ..., k-1, k+1}; admissible iff k = 2 or 3 mod 4."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    cs = _require_admissible((*range(1, k), k + 1), "skip-k", 6 if k == 2 else k)
+    _check_period(f"{{1..{k - 1}}} u {{{k + 1}}}", "skip-k", 6 if k == 2 else k)
+    cs = _admissible((*range(1, k), k + 1))
 
+    # k = 2 goes to the 4-valent family: the k = 2 mod 4 chain would step by 0.
     if k == 2:
         return construct_4valent(1, 3)
-    if k == 3:
-        starter = FinitePath((0, 1, -1, 3))
-    elif k % 4 == 2:
-        if k == 6:
-            starter = FinitePath((0, 2, -3, -2, -5, -1, 6))
-        else:
-            u = k // 2  # odd since k = 2 mod 4
-            chain = _Chain(0)
-            chain.block(0, (u - 1, -(k - 1)))
-            chain.block(-u, _alternating(range(2, u - 1), first_positive=False))
-            chain.block(-(u + 3) // 2, (1,))
-            chain.block(-(u + 1) // 2, _alternating(range(u, k - 1), first_positive=False))
-            chain.block(-1, (k + 1,))
-            starter = chain.path()
+    chain = _Chain(0)
+    if k % 4 == 2:
+        u = k // 2  # odd since k = 2 mod 4
+        chain.block(0, (u - 1, -(k - 1)))
+        chain.block(-u, _alternating(range(2, u - 1), first_positive=False))
+        chain.block(-(u + 3) // 2, (1,))
+        chain.block(-(u + 1) // 2, _alternating(range(u, k - 1), first_positive=False))
     else:
-        # k = 3 mod 4, k >= 7.  The ascent interleaves k-3, k-7, ... with
-        # 5, 9, ... and the descent interleaves 2, 6, ... with k-4, k-8, ...
+        # k = 3 mod 4.  The ascent interleaves k-3, k-7, ... with 5, 9, ...
+        # and the descent interleaves 2, 6, ... with k-4, k-8, ...
         v = (k + 1) * (k - 2) // 4
         ascent = []
         hi, lo = k - 3, 5
@@ -305,32 +303,24 @@ def construct_skip_k(k: int) -> DecompositionCertificate:
             descent += [-lo, -hi]
             lo += 4
             hi -= 4
-        chain = _Chain(0)
         chain.block(0, (1,))
         chain.block(1, ascent)
         chain.block(v, (-(k - 1),))
         chain.block(v - k + 1, descent)
-        chain.block(-1, (k + 1,))
-        starter = chain.path()
-    return _certified(DecompositionCertificate(
-        connection_set=cs, period=k, starter=starter, offsets=tuple(range(k))))
+    chain.block(-1, (k + 1,))
+    return _certified(cs, k, chain.path())
 
 
 def construct_even_run(t: int) -> DecompositionCertificate:
     """Certificate for S+ = {1, 2, 4, 6, ..., 2t}; admissible iff t is even."""
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
-    cs = _require_admissible((1, *range(2, 2 * t + 1, 2)), "even-run", t + 1)
-    if t == 2:
-        return construct_skip_k(3)
+    _check_period(f"{{1}} u 2*{{1..{t}}}", "even-run", t + 1)
+    cs = _admissible((1, *range(2, 2 * t + 1, 2)))
 
-    k = t + 1
-    # The two cases are keyed on k mod 4; t = k - 1 so they are exactly
-    # t = 0 mod 4 and t = 2 mod 4.
-    assert (k % 4 == 1) == (t % 4 == 0)
     chain = _Chain(0)
     chain.block(0, (1,))
-    if k % 4 == 1:
+    if t % 4 == 0:
         chain.block(1, _alternating(range(t - 2, 3, -2), first_positive=True))
         chain.block((t - 2) // 2, (2, t))
         chain.block((3 * t + 2) // 2,
@@ -340,8 +330,7 @@ def construct_even_run(t: int) -> DecompositionCertificate:
         chain.block(t // 2, (-t, 2 * t))
         chain.block(3 * t // 2,
                     _alternating(range(2 * t - 2, t + 1, -2), first_positive=False))
-    return _certified(DecompositionCertificate(
-        connection_set=cs, period=k, starter=chain.path(), offsets=tuple(range(k))))
+    return _certified(cs, t + 1, chain.path())
 
 
 def construct_one_two_c(c: int) -> DecompositionCertificate:
@@ -355,7 +344,9 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
     if c < 3:
         raise ValueError(f"c must be at least 3, got {c}")
     t = c // 2
-    cs = _require_admissible((1, 2, c), "one-two-c", 3 if t == 2 else 3 * t)
+    cs = _admissible((1, 2, c))
+    _check_period(cs, "one-two-c", 3 if t == 2 else 3 * t)
+    # c = 4 goes to the skip-k family: the even-t chain does not close at t = 2.
     if t == 2:
         return construct_skip_k(3)
 
@@ -381,8 +372,7 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
             chain.block(5, (c2, -1, -c2, 2))
             chain.run(range(6, t - 3, 4), (c2, 2, -c2, 2))
         chain.block(t, (c2,))
-    return _certified(DecompositionCertificate(
-        connection_set=cs, period=3 * t, starter=chain.path(), offsets=(0, t, 2 * t)))
+    return _certified(cs, 3 * t, chain.path())
 
 
 _FAMILIES = ("consecutive", "skip-k", "even-run", "one-two-c", "four-valent", "cyclic-lift")

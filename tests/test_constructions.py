@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -510,3 +511,31 @@ class TestConstructorPeriodCap:
         with pytest.raises(PeriodTooLarge, match="period 1000002,"):
             walecki_path(500_001)
         assert time.perf_counter() - started < 0.1
+
+    @pytest.mark.parametrize("build, family, period", [
+        (construct_consecutive, "consecutive", 4_000_000),
+        (construct_skip_k, "skip-k", 2_000_000),
+        (construct_even_run, "even-run", 2_000_001)])
+    def test_run_families_refuse_before_building_the_set(self, build, family, period):
+        # S+ would hold two million generators; the refusal builds none of them.
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(PeriodTooLarge,
+                               match=f"{family} certificate of period {period},") as info:
+                build(2_000_000)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2**20 and len(str(info.value)) < 200
+
+    def test_run_families_check_the_period_before_admissibility(self, monkeypatch):
+        # A direct call checks the period first; the dispatcher checks
+        # admissibility first, as before.
+        monkeypatch.setattr(constructions, "MAX_PERIOD", 1)
+        for build, n in ((construct_consecutive, 6), (construct_skip_k, 4), (construct_even_run, 3)):
+            with pytest.raises(PeriodTooLarge):
+                build(n)
+        with pytest.raises(NotAdmissible):
+            construct_with_family(ConnectionSet(range(1, 7)))
