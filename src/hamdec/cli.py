@@ -50,15 +50,11 @@ EXIT_INTERNAL = 70
 EXIT_PIPE = 141
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_set(text: str) -> ConnectionSet:
     try:
         entries = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"cannot parse connection set {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse connection set {text!r}: {exc}") from exc
     return ConnectionSet(entries)
 
 
@@ -81,11 +77,11 @@ def _parse_lengths(text: str) -> dict[int, int]:
             try:
                 length, count = int(part), 1
             except ValueError as exc:
-                raise UsageError(f"cannot parse length entry {part!r}") from exc
+                raise ValueError(f"cannot parse length entry {part!r}") from exc
         if count:
             counts[length] = counts.get(length, 0) + count
     if not counts:
-        raise UsageError("length multiset is empty")
+        raise ValueError("length multiset is empty")
     return counts
 
 
@@ -95,10 +91,10 @@ _RANGE = r"(-?\d+)\.\.(-?\d+)"
 def _parse_range(text: str) -> tuple[int, int]:
     m = re.fullmatch(_RANGE, text.strip())
     if not m:
-        raise UsageError(f"cannot parse range {text!r}, expected like 0..12")
+        raise ValueError(f"cannot parse range {text!r}, expected like 0..12")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo >= hi:
-        raise UsageError(f"range {text!r} is empty")
+        raise ValueError(f"range {text!r} is empty")
     return lo, hi
 
 
@@ -124,7 +120,7 @@ def _write_out(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -191,11 +187,11 @@ def cmd_verify(args) -> int:
 
 def cmd_buratti(args) -> int:
     if (args.sweep_prime is None) == (args.k is None):
-        raise UsageError("use either --k with --lengths, or --sweep-prime")
+        raise ValueError("use either --k with --lengths, or --sweep-prime")
 
     if args.k is not None:
         if args.lengths is None:
-            raise UsageError("--k requires --lengths")
+            raise ValueError("--k requires --lengths")
         lengths = _parse_lengths(args.lengths)
         try:
             outcome = find_path(args.k, lengths)
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
         # what is still buffered cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (UsageError, ValueError, HamdecError) as exc:
+    except (ValueError, HamdecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, never a negative result: keep it off exit code 1

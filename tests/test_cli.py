@@ -296,13 +296,13 @@ class TestBuratti:
         def outcome(parse):
             try:
                 found = find_path(k, parse())
-            except (cli.UsageError, ValueError, HamdecError) as exc:
+            except (ValueError, HamdecError) as exc:
                 return type(exc), str(exc)
             return found.witness, found.nodes_expanded
 
         def expand():
             if not expanded:
-                raise cli.UsageError("length multiset is empty")
+                raise ValueError("length multiset is empty")
             return expanded
         assert outcome(lambda: cli._parse_lengths(text)) == outcome(expand)
 
