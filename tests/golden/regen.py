@@ -1,12 +1,14 @@
 """Rewrite the golden digest files from the current code.
 
 Run from the repository root as ``python tests/golden/regen.py``.  Each line
-of ``constructions.txt`` is ``<case id> <sha256>``; see
-``helpers.golden_construction_cases`` for the cases and
-``helpers.golden_digest`` for what is hashed.  Run it only when an output
-changes on purpose, and list the changed case ids in CHANGES.md.
+of ``constructions.txt`` and ``cli.txt`` is ``<case id> <sha256>``; see
+``helpers.golden_construction_cases`` and ``helpers.golden_cli_cases`` for
+the cases, and ``helpers.golden_digest`` and ``helpers.golden_cli_digest``
+for what is hashed.  Run it only when an output changes on purpose, and list
+the changed case ids in CHANGES.md.
 """
 import sys
+import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parents[1]
@@ -15,11 +17,18 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 import helpers  # noqa: E402
 
 
+def write(path: Path, lines: list[str]) -> None:
+    path.write_text("".join(lines), encoding="utf-8")
+    print(f"wrote {len(lines)} cases to {path}")
+
+
 def main() -> None:
-    lines = [f"{case} {helpers.golden_digest(call)}\n"
-             for case, call in helpers.golden_construction_cases()]
-    helpers.GOLDEN_CONSTRUCTIONS.write_text("".join(lines), encoding="utf-8")
-    print(f"wrote {len(lines)} cases to {helpers.GOLDEN_CONSTRUCTIONS}")
+    write(helpers.GOLDEN_CONSTRUCTIONS, [f"{case} {helpers.golden_digest(call)}\n"
+                                         for case, call in helpers.golden_construction_cases()])
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write(helpers.GOLDEN_CLI, [f"{case} {helpers.golden_cli_digest(argv, root)}\n"
+                                   for case, argv in helpers.golden_cli_cases(root)])
 
 
 if __name__ == "__main__":

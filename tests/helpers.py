@@ -1,9 +1,12 @@
 """Shared test machinery: brute-force oracles, fuzz mutations, certificate corpora."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import math
 import random
+import re
 import time
 from collections import Counter
 from functools import partial
@@ -29,6 +32,7 @@ from hamdec import (
     construct_walecki_family,
     verify_certificate,
 )
+from hamdec.cli import main
 from hamdec.document import to_json
 from hamdec.model import INT64_MAX, INT64_MIN, MAX_WINDOW_EDGES
 
@@ -570,4 +574,103 @@ def golden_digest(call) -> str:
         text = f"{type(exc).__name__}: {exc}"
     else:
         text = to_json(cert) + repr(verify_certificate(cert))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli.txt"
+
+
+def golden_cli_cases(root: Path):
+    """(case id, argv) of the golden CLI corpus, in file order.
+
+    Writes the certificate files that ``verify`` and ``figure`` read under
+    ``root`` first, and names ``--out`` files under it.  The ``verify`` cases
+    run at 3, 5 and ``auto`` periods on one certificate of each family, on
+    its ``mutate`` mutants (seed 0) and on three damaged certificates that
+    the window oracle accepted while the exact check refused them.
+    """
+    rng = random.Random(0)
+    certs = {}
+    for name, cert in (("consecutive-4", construct_consecutive(4)),
+                       ("consecutive-5", construct_consecutive(5)),
+                       ("skip-k-6", construct_skip_k(6)), ("skip-k-7", construct_skip_k(7)),
+                       ("even-run-4", construct_even_run(4)),
+                       ("one-two-c-10", construct_one_two_c(10)),
+                       ("four-valent-3-7", construct_4valent(3, 7)),
+                       ("cyclic-lift-5", construct_walecki_family(5, (1, 7, 3, 9)))):
+        certs[name] = cert
+        for i, mutant in enumerate(mutate(cert, rng)):
+            certs[f"{name}-mutant{i}"] = mutant
+    for name, (s_plus, period, starter, offsets) in (
+            ("foreign-edge", ((1,), 2, (0, -1, 2), (0, 1))),
+            ("disconnected", ((1, 5), 4, (0, -1, -2, -7, -12), (0, 2))),
+            ("uncovered-length", ((1, 3), 2, (0, 1, 2), (1,)))):
+        certs[name] = DecompositionCertificate(ConnectionSet(s_plus), period,
+                                               FinitePath(starter), offsets)
+    for name, cert in certs.items():
+        (root / f"{name}.json").write_text(to_json(cert, provenance=name), encoding="utf-8")
+    (root / "junk.json").write_text("{not json", encoding="utf-8")
+
+    for name, s in (("admissible", "1,3"), ("not-admissible", "1,2"), ("zero", "0,3"),
+                    ("garbage", "1,x")):
+        yield f"check:{name}", ["check", "--set", s]
+    for name, s in (("consecutive", "1,2,3,4"), ("skip-k", "1,2,4"), ("even-run", "1,2,4,6,8"),
+                    ("one-two-c", "1,2,10"), ("four-valent", "3,5"), ("cyclic-lift", "1,3,5"),
+                    ("not-admissible", "1,2"), ("not-admissible-gcd", "2,4"), ("empty", ""),
+                    ("zero-one", "0,1"), ("garbage", "1,x"), ("unsupported", "4,6,9"),
+                    ("lift-exhausted", "1,3,6,9,12,15,21,24,30"),
+                    ("over-cap-4valent", "1,99999999"), ("over-cap-one-two-c", "1,2,1000000000000"),
+                    ("over-cap-int64", "9223372036854775807,1")):
+        yield f"construct:{name}", ["construct", "--set", s]
+    yield "construct:out", ["construct", "--set", "1,2,3,4", "--out", str(root / "out.json")]
+    yield "construct:out-unwritable", ["construct", "--set", "1,2,3,4",
+                                       "--out", str(root / "missing" / "out.json")]
+    for name in certs:
+        for periods in ("3", "5", "auto"):
+            yield (f"verify:{name}:{periods}",
+                   ["verify", "--cert", str(root / f"{name}.json"), "--window-periods", periods])
+    yield "verify:junk", ["verify", "--cert", str(root / "junk.json")]
+    yield "verify:missing", ["verify", "--cert", str(root / "missing.json")]
+    for name, args in (("found", ["--k", "5", "--lengths", "1,1,2,2"]),
+                       ("exhausted", ["--k", "9", "--lengths", "3x8"]),
+                       ("bad-multiset", ["--k", "5", "--lengths", "1,1"]),
+                       ("k-without-lengths", ["--k", "5"]),
+                       ("neither-flag", []),
+                       ("both-flags", ["--k", "5", "--lengths", "1,1,2,2", "--sweep-prime", "5"]),
+                       ("sweep-5", ["--sweep-prime", "5"]), ("sweep-7", ["--sweep-prime", "7"]),
+                       ("sample", ["--sweep-prime", "11", "--sample", "3", "--seed", "2"]),
+                       ("bad-modulus", ["--sweep-prime", "9"])):
+        yield f"buratti:{name}", ["buratti", *args]
+    cert = str(root / "consecutive-4.json")
+    for name, args in (("svg", ["--range", "0..16"]), ("dot", ["--range", "0..16", "--format", "dot"]),
+                       ("negative-range", ["--range", "-8..16"]),
+                       ("negative-range-joined", ["--range=-8..16", "--format", "dot"]),
+                       ("empty-range", ["--range", "5..1"]),
+                       ("out", ["--range", "0..16", "--out", str(root / "out.svg")]),
+                       ("out-unwritable", ["--range", "0..16",
+                                           "--out", str(root / "missing" / "out.svg")])):
+        yield f"figure:{name}", ["figure", "--cert", cert, *args]
+
+
+def golden_cli_digest(argv, root: Path) -> str:
+    """sha256 of ``main(argv)``'s exit code, stdout, stderr and ``--out`` file, run in-process.
+
+    ``root`` reads as ``<tmp>`` everywhere and the sweep summary's seconds as
+    ``<s>``.  An argparse usage error keeps its last stderr line alone: the
+    usage lines above it wrap with the terminal width and the Python version.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            err = io.StringIO(err.getvalue().splitlines(keepends=True)[-1])
+    written = ""
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        written = path.read_text(encoding="utf-8") if path.exists() else "<none>"
+    text = (f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+            f"--- out\n{written}")
+    text = re.sub(r"(failures, )\d+\.\ds\n", r"\1<s>s\n", text.replace(str(root), "<tmp>"))
     return hashlib.sha256(text.encode()).hexdigest()
