@@ -13,7 +13,9 @@ Exit codes, relied on by scripts:
   shell reports a pipe reader that left early); an ``--out`` file is written
   first, so it is complete
 
-Code 5 is reserved for a search node budget.
+A refusal prints ``<label>: <message>`` on stdout and exits with its own
+code (``_REFUSALS``); any other input error prints ``error: <message>`` on
+stderr and exits 2.  Code 5 is reserved for a search node budget.
 """
 from __future__ import annotations
 
@@ -136,15 +138,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    s = _parse_set(args.set)
-    try:
-        family, cert = construct_with_family(s)
-    except NotAdmissible as exc:
-        print(f"not admissible: {exc}")
-        return EXIT_FAIL
-    except Unsupported as exc:
-        print(f"unsupported: {exc}")
-        return EXIT_UNSUPPORTED
+    family, cert = construct_with_family(_parse_set(args.set))
     # The file is written first: a write error then prints nothing, and a
     # stdout closed early cannot stop the write.
     if args.out:
@@ -186,18 +180,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_buratti(args) -> int:
-    if (args.sweep_prime is None) == (args.k is None):
-        raise ValueError("use either --k with --lengths, or --sweep-prime")
-
     if args.k is not None:
         if args.lengths is None:
             raise ValueError("--k requires --lengths")
-        lengths = _parse_lengths(args.lengths)
-        try:
-            outcome = find_path(args.k, lengths)
-        except BadMultisetSize as exc:
-            print(f"bad multiset: {exc}")
-            return EXIT_USAGE
+        outcome = find_path(args.k, _parse_lengths(args.lengths))
         if outcome.found:
             print(f"found: [{', '.join(map(str, outcome.witness))}]  "
                   f"(nodes expanded: {outcome.nodes_expanded})")
@@ -206,11 +192,7 @@ def cmd_buratti(args) -> int:
               f"(nodes expanded: {outcome.nodes_expanded})")
         return EXIT_EXHAUSTED
 
-    try:
-        report = sweep(args.sweep_prime, sample=args.sample, seed=args.seed, jobs=args.jobs)
-    except NotPrime as exc:
-        print(f"bad modulus: {exc}")
-        return EXIT_USAGE
+    report = sweep(args.sweep_prime, sample=args.sample, seed=args.seed, jobs=args.jobs)
     for lengths, outcome in report.entries:
         witness = ",".join(map(str, outcome.witness)) if outcome.found else "-"
         print(f"{','.join(map(str, lengths))}\t{outcome.status}\t{witness}\t"
@@ -267,11 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_buratti = sub.add_parser(
         "buratti", help="search for length-constrained Hamilton paths on Z_k")
-    p_buratti.add_argument("--k", type=int, metavar="K")
+    mode = p_buratti.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=int, metavar="K")
+    mode.add_argument("--sweep-prime", type=int, metavar="P",
+                      help="run every multiset for an odd prime")
     p_buratti.add_argument("--lengths", metavar="L",
                            help="multiset, e.g. '1,1,2,2' or '3x8'")
-    p_buratti.add_argument("--sweep-prime", type=int, metavar="P",
-                           help="run every multiset for an odd prime")
     p_buratti.add_argument("--sample", type=int, metavar="N",
                            help="sample N multisets instead of sweeping all")
     p_buratti.add_argument("--seed", type=int, default=0, metavar="SEED")
@@ -303,11 +286,24 @@ def _join_negative_range(argv: list[str]) -> list[str]:
     return out
 
 
+# Each refusal's stdout label and exit code; each is raised by one command.
+_REFUSALS = {
+    NotAdmissible: ("not admissible", EXIT_FAIL),
+    Unsupported: ("unsupported", EXIT_UNSUPPORTED),
+    BadMultisetSize: ("bad multiset", EXIT_USAGE),
+    NotPrime: ("bad modulus", EXIT_USAGE),
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_join_negative_range(argv))
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except tuple(_REFUSALS) as exc:
+            label, code = _REFUSALS[type(exc)]
+            print(f"{label}: {exc}")
         sys.stdout.flush()  # inside the try, so a closed stdout fails here
         return code
     except BrokenPipeError:

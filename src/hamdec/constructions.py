@@ -21,6 +21,7 @@ from .errors import (
     NotAdmissible,
     PeriodTooLarge,
     Unsupported,
+    format_ints,
 )
 from .model import (
     ConnectionSet,
@@ -38,17 +39,19 @@ from .verifier import verify_certificate
 MAX_PERIOD = 1_000_000
 
 
-def _check_period(s_plus, family: str, period: int) -> None:
+def _check_period(s_plus: ConnectionSet | str, family: str, period: int) -> None:
     """Refuse a ``family`` certificate whose period is above the cap.
 
     Every constructor calls this with the period of the certificate it
     returns, before it builds the starter or delegates to another family.
     The families whose S+ is a run of integers call it before they build
-    the set as well, and name the set by a short text such as ``{1..k}``.
+    the set as well, and name the set by a short text such as ``{1..k}``;
+    a connection set is written by ``format_ints``.
     """
     if period > MAX_PERIOD:
+        text = s_plus if isinstance(s_plus, str) else format_ints(s_plus.s_plus)
         raise PeriodTooLarge(
-            f"S+={s_plus} needs a {family} certificate of period {period}, "
+            f"S+={text} needs a {family} certificate of period {period}, "
             f"more than the cap of {MAX_PERIOD}")
 
 
@@ -185,9 +188,10 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
         raise ValueError(f"k must be an odd integer >= 3, got {k}")
     a_list = tuple(a_list)
     if len(set(a_list)) != len(a_list) or len(a_list) != k - 1:
-        raise ValueError(f"need {k - 1} distinct magnitudes, got {a_list}")
+        raise ValueError(f"need {k - 1} distinct magnitudes, got {format_ints(a_list, '()')}")
     if any(a < 1 or a % k == 0 for a in a_list):
-        raise ValueError(f"magnitudes must be positive and not divisible by {k}: {a_list}")
+        raise ValueError(
+            f"magnitudes must be positive and not divisible by {k}: {format_ints(a_list, '()')}")
     cs = _admissible((*a_list, k))
     _check_period(cs, "cyclic-lift", 2 * k)
 
@@ -196,13 +200,14 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
     residues = [v % k for v in q.vertices]
     if len(residues) != k or len(set(residues)) != k:
         raise LengthMultisetMismatch(
-            f"q is not a Hamilton path on Z_{k} (visits {sorted(set(residues))})")
+            f"q is not a Hamilton path on Z_{k} (visits {format_ints(sorted(set(residues)), '[]')})")
 
     q_lengths = sorted(circular_length(u, v, k) for u, v in zip(residues, residues[1:]))
     target = sorted(circular_length(0, a, k) for a in a_list)
     if q_lengths != target:
         raise LengthMultisetMismatch(
-            f"q has cyclic lengths {q_lengths}, the magnitudes require {target}")
+            f"q has cyclic lengths {format_ints(q_lengths, '[]')}, "
+            f"the magnitudes require {format_ints(target, '[]')}")
 
     steps = [(v - u) % k for u, v in zip(residues, residues[1:])]
     signed = _assign_signs(k, a_list, steps)

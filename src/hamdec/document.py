@@ -63,11 +63,8 @@ def from_json(text: str) -> tuple[str, DecompositionCertificate]:
         ConnectionSet(connection_set), period, FinitePath(starter), offsets)
 
 
-def _json_list(values) -> str:
-    """A list of ints as ``json.dumps`` writes it at indent 2, one level deep."""
-    values = list(values)
-    if not values:
-        return "[]"
+def _json_list(values: tuple[int, ...]) -> str:
+    """A non-empty tuple of ints as ``json.dumps`` writes it at indent 2, one level deep."""
     return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
 
 

@@ -1,4 +1,23 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and how a message writes a set."""
+
+# The most values ``format_ints`` writes in full: more than any set that the
+# tests, the golden corpus or the benchmark name (1,201 at most).
+MAX_LISTED = 2048
+
+
+def format_ints(values, brackets: str = "{}") -> str:
+    """A collection of ints as a message writes it: ``{1, 2, 3}`` for brackets ``"{}"``.
+
+    Up to ``MAX_LISTED`` values are written in full.  A longer collection
+    writes its first three values, ``...``, its last three and the count, as
+    ``{1, 2, 3, ..., 2998, 2999, 3000} (3000 values)``, so a refusal stays
+    short however large the set it names.
+    """
+    values = tuple(values)
+    if len(values) <= MAX_LISTED:
+        return brackets[0] + ", ".join(map(str, values)) + brackets[1]
+    return (f"{brackets[0]}{', '.join(map(str, values[:3]))}, ..., "
+            f"{', '.join(map(str, values[-3:]))}{brackets[1]} ({len(values)} values)")
 
 
 class HamdecError(Exception):
@@ -36,7 +55,7 @@ class NotAdmissible(HamdecError):
             reasons.append(f"gcd={report.gcd} (graph has {report.component_count} components)")
         if not report.parity_ok:
             reasons.append("generator-sum parity violated")
-        super().__init__(f"S+={{{', '.join(map(str, connection_set.s_plus))}}} is not admissible: "
+        super().__init__(f"S+={format_ints(connection_set.s_plus)} is not admissible: "
                          + "; ".join(reasons))
 
 
@@ -47,7 +66,7 @@ class Unsupported(HamdecError):
         self.connection_set = connection_set
         self.tried = tuple(tried)
         super().__init__(
-            f"no known construction for S+={{{', '.join(map(str, connection_set.s_plus))}}}; "
+            f"no known construction for S+={format_ints(connection_set.s_plus)}; "
             f"families tried: {', '.join(self.tried)}")
 
 

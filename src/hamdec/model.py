@@ -143,13 +143,13 @@ class ConnectionSet(Value):
     s_plus: tuple[int, ...]
 
     def __init__(self, s_plus: Iterable[int]):
-        entries = sorted(set(s_plus))
+        # Every entry is checked before ``set`` merges equal ones, so that
+        # ``[True, 1]`` and ``[1, True]`` are refused alike.
+        entries = sorted(set(_check_vertices(s_plus)))
         if not entries:
             raise EmptyConnectionSet("connection set must contain at least one generator")
-        for a in entries:
-            _check_vertex(a)
-            if a < 1:
-                raise ValueError(f"generator magnitudes must be positive, got {a}")
+        if entries[0] < 1:
+            raise ValueError(f"generator magnitudes must be positive, got {entries[0]}")
         set_field(self, "s_plus", tuple(entries))
 
     def __str__(self) -> str:

@@ -146,12 +146,13 @@ class WindowCheck(Value):
 def smallest_window_periods(cert: DecompositionCertificate) -> int:
     """The fewest periods ``window_oracle`` accepts for ``cert``.
 
-    The window must hold the longest edge (``periods * n >= 2 * max_s``) and
-    leave a non-empty core (``(periods - 1) * n >= max_s``), and has at least
-    3 periods.
+    The window has at least 3 periods and must hold the longest edge
+    (``periods * n >= 2 * max_s``).  Its core is then never empty: for
+    P >= 3 periods, ``(P - 1) * n >= P * n / 2 >= max_s``, so the core
+    ``|x| <= (P - 1) * n - max_s`` holds 0.
     """
     n, max_s = cert.period, cert.connection_set.s_plus[-1]
-    return max(3, -(-2 * max_s // n), -(-max_s // n) + 1)
+    return max(3, -(-2 * max_s // n))
 
 
 def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
@@ -161,7 +162,8 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     of translates per starter edge and offset, and checks, inside a core
     sub-window where no boundary effect can bite: degree exactly 2 per path,
     no cycles, a single connected piece per path, pairwise edge disjointness,
-    and that every graph edge is covered exactly once.  Degrees are counted
+    that every graph edge is covered exactly once, and that every edge used
+    anywhere in the slab is an edge of the graph.  Degrees are counted
     one byte per vertex on the first (edges + 1) vertices of the core, each
     progression's endpoints as one extended slice of step n.  The union-find
     still walks every edge of the slab, and the last two checks keep, per
@@ -179,10 +181,8 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
 
     w_hi = periods * n
     w_lo = -w_hi
-    core_hi = (periods - 1) * n - max_s
+    core_hi = (periods - 1) * n - max_s  # >= 0, as smallest_window_periods shows
     core_lo = -core_hi
-    if core_hi < core_lo:
-        raise WindowTooSmall("core sub-window is empty; increase periods")
 
     paths = materialize_edges(cert, w_lo, w_hi)
 
@@ -248,7 +248,9 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # lower endpoints, so a progression that does not grow ``used[d]`` by its
     # length shares an edge.  Each path is a forest and repeats no edge of its
     # own, so that edge is one of an earlier path's, named only then.  Of the
-    # first uncovered edge of each length, the smallest comes first.
+    # first uncovered edge of each length, the smallest comes first.  Last,
+    # a used length outside S+ gives no edge of the graph: the smallest used
+    # edge of such a length is named.
     used: dict[int, set[int]] = defaultdict(set)
     for k, progs in enumerate(paths):
         for r, d in progs:
@@ -264,5 +266,9 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     if missing:
         u, d = min(missing)
         return WindowCheck(False, f"edge {(u, u + d)} not covered")
+    foreign = [(min(used[d]), d) for d in used.keys() - s_plus if used[d]]
+    if foreign:
+        u, d = min(foreign)
+        return WindowCheck(False, f"edge {(u, u + d)} is not an edge of the graph")
 
     return WindowCheck(True)

@@ -312,7 +312,8 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
     Materializes every Hamilton path restricted to the slab and checks, inside
     a core sub-window where no boundary effect can bite: degree exactly 2 per
     path, no cycles, a single connected piece per path, pairwise edge
-    disjointness, and that every graph edge is covered exactly once.
+    disjointness, that every graph edge is covered exactly once, and that
+    every edge used in the slab is an edge of the graph.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -327,8 +328,6 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
     w_lo = -w_hi
     core_hi = (periods - 1) * n - max_s
     core_lo = -core_hi
-    if core_hi < core_lo:
-        raise WindowTooSmall("core sub-window is empty; increase periods")
 
     paths = [reference_materialize_edges(cert, o, w_lo, w_hi) for o in cert.offsets]
 
@@ -373,6 +372,9 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
         for d in s_plus:
             if x + d <= core_hi and (x, x + d) not in seen:
                 return WindowCheck(False, f"edge ({x}, {x + d}) not covered")
+    foreign = [(u, v) for u, v in seen if v - u not in s_plus]
+    if foreign:
+        return WindowCheck(False, f"edge {min(foreign)} is not an edge of the graph")
 
     return WindowCheck(True)
 

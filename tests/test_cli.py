@@ -94,6 +94,13 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "--set", "4,6,9")
         assert code == 3
 
+    def test_exhausted_lift_exit_3(self, capsys):
+        # The set has the lift's shape, k = 9, but no Z_9 path has its lengths.
+        assert run(capsys, "construct", "--set", "1,3,6,9,12,15,21,24,30") == (
+            3, "unsupported: no known construction for S+={1, 3, 6, 9, 12, 15, 21, 24, 30}; "
+               "families tried: consecutive, skip-k, even-run, one-two-c, four-valent, "
+               "cyclic-lift (search exhausted)\n", "")
+
     # The first two starters have negative vertices.
     @pytest.mark.parametrize("s", ["1,2,3,4", "1,2,3,4,5,7", "1,5", "1,2,10", "3,5,7"])
     def test_starter_line_matches_join(self, capsys, s):

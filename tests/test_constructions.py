@@ -347,6 +347,40 @@ class TestDispatcher:
             assert verify_certificate(construct(ConnectionSet(s))).accepted
 
 
+class TestShortRefusals:
+    """A refusal names its set in under 200 characters, however many generators it has."""
+
+    def test_not_admissible(self):
+        with pytest.raises(NotAdmissible) as exc:
+            construct(ConnectionSet(range(1, 10**6 + 3)))
+        assert str(exc.value) == ("S+={1, 2, 3, ..., 1000000, 1000001, 1000002} (1000002 values) "
+                                  "is not admissible: generator-sum parity violated")
+
+    def test_unsupported(self):
+        with pytest.raises(Unsupported) as exc:
+            construct(ConnectionSet([*range(2, 10**6 + 1), 10**6 + 1]))
+        assert str(exc.value).startswith(
+            "no known construction for S+={2, 3, 4, ..., 999999, 1000000, 1000001} "
+            "(1000000 values); families tried: consecutive, ")
+        assert len(str(exc.value)) < 200
+
+    def test_period_too_large(self):
+        # The cyclic lift of k = 500001 needs period 1000002.
+        k = 500001
+        with pytest.raises(PeriodTooLarge) as exc:
+            construct(ConnectionSet([k, *range(k + 1, 2 * k)]))
+        assert str(exc.value) == (
+            "S+={500001, 500002, 500003, ..., 999999, 1000000, 1000001} (500001 values) needs "
+            "a cyclic-lift certificate of period 1000002, more than the cap of 1000000")
+
+    def test_lift_with_a_repeated_magnitude(self):
+        a_list = [*range(1, 10**6), 1]
+        with pytest.raises(ValueError) as exc:
+            construct_from_zk_path(10**6 + 1, a_list, FinitePath(range(10**6 + 1)))
+        assert str(exc.value) == ("need 1000000 distinct magnitudes, "
+                                  "got (1, 2, 3, ..., 999998, 999999, 1) (1000000 values)")
+
+
 class TestChainRun:
     """``_Chain.run`` adds the same steps as one ``block`` per start, or raises the same error."""
 

@@ -100,6 +100,13 @@ def test_connection_set_normalizes_and_validates():
         ConnectionSet([-2])
 
 
+@pytest.mark.parametrize("entries", [[1, True], [True, 1], [1, 1.0], [1.0, 1]])
+def test_connection_set_refuses_non_ints_in_any_order(entries):
+    # ``set`` merges True and 1.0 into 1, so each entry is checked before it.
+    with pytest.raises(TypeError, match="vertex must be an int"):
+        ConnectionSet(entries)
+
+
 def test_vertex_overflow_fails_loudly():
     with pytest.raises(VertexOverflow):
         FinitePath((0, 2**63))
