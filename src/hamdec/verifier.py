@@ -166,7 +166,7 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     anywhere in the slab is an edge of the graph.  Degrees are counted
     one byte per vertex on the first (edges + 1) vertices of the core, each
     progression's endpoints as one extended slice of step n.  The union-find
-    still walks every edge of the slab, and the last two checks keep, per
+    still walks every edge of the slab, and the last three checks keep, per
     edge length ``d``, the set of lower endpoints ``u`` of the edges
     ``(u, u + d)`` used so far, walking each progression once.
     """

@@ -259,8 +259,6 @@ def test_window_oracle_matches_reference(case):
     # A foreign edge (-3, 3) whose lower endpoint lies left of the core and
     # whose upper one right of it: neither end counts at the core's vertices.
     ((1,), 1, (0, 6), (0,), "vertex -1 has degree 0"),
-    # Each path is one two-way-infinite path, through edges of length 3.
-    ((1,), 2, (0, -1, 2), (0, 1), "edge (-6, -3) is not an edge of the graph"),
 ])
 def test_window_failure_messages(s_plus, period, starter, offsets, failure):
     cert = DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter), offsets)
@@ -270,6 +268,7 @@ def test_window_failure_messages(s_plus, period, starter, offsets, failure):
 
 @pytest.mark.parametrize("periods", [3, 5, 8, 20])
 def test_window_oracle_refuses_a_length_outside_s_plus(periods):
+    # Each path is one two-way-infinite path, through edges of length 3.
     cert = DecompositionCertificate(ConnectionSet([1]), 2, FinitePath((0, -1, 2)), (0, 1))
     assert verify_certificate(cert).failures == ("ForeignEdgeLength",)
     u = -2 * periods
