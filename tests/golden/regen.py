@@ -1,10 +1,11 @@
 """Rewrite the golden digest files from the current code.
 
 Run from the repository root as ``python tests/golden/regen.py``.  Each line
-of ``constructions.txt`` and ``cli.txt`` is ``<case id> <sha256>``; see
-``helpers.golden_construction_cases`` and ``helpers.golden_cli_cases`` for
-the cases, and ``helpers.golden_digest`` and ``helpers.golden_cli_digest``
-for what is hashed.  Run it only when an output changes on purpose, and list
+of ``constructions.txt``, ``oracle.txt`` and ``cli.txt`` is
+``<case id> <sha256>``; see ``helpers.golden_construction_cases``,
+``helpers.golden_oracle_cases`` and ``helpers.golden_cli_cases`` for the
+cases, and ``helpers.golden_digest``, ``helpers.golden_oracle_digest`` and
+``helpers.golden_cli_digest`` for what is hashed.  Run it only when an output changes on purpose, and list
 the changed case ids in CHANGES.md.
 """
 import sys
@@ -25,6 +26,8 @@ def write(path: Path, lines: list[str]) -> None:
 def main() -> None:
     write(helpers.GOLDEN_CONSTRUCTIONS, [f"{case} {helpers.golden_digest(call)}\n"
                                          for case, call in helpers.golden_construction_cases()])
+    write(helpers.GOLDEN_ORACLE, [f"{case} {helpers.golden_oracle_digest(cert, periods)}\n"
+                                  for case, cert, periods in helpers.golden_oracle_cases()])
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         write(helpers.GOLDEN_CLI, [f"{case} {helpers.golden_cli_digest(argv, root)}\n"

@@ -31,10 +31,12 @@ from hamdec import (
     construct_skip_k,
     construct_walecki_family,
     verify_certificate,
+    window_oracle,
 )
 from hamdec.cli import main
 from hamdec.document import to_json
 from hamdec.model import INT64_MAX, INT64_MIN, MAX_WINDOW_EDGES
+from hamdec.verifier import smallest_window_periods
 
 
 def naive_find(k: int, lengths) -> bool:
@@ -579,6 +581,86 @@ def golden_digest(call) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def window_reproducers() -> dict[str, DecompositionCertificate]:
+    """Damaged certificates that the window oracle once accepted while the exact check refused them.
+
+    One per gap: a used length outside S+, paths that fall apart beyond a
+    long starter's reach, and a length whose edges the core was too narrow
+    to check.
+    """
+    return {name: DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter),
+                                           offsets)
+            for name, (s_plus, period, starter, offsets) in (
+                ("foreign-edge", ((1,), 2, (0, -1, 2), (0, 1))),
+                ("disconnected", ((1, 5), 4, (0, -1, -2, -7, -12), (0, 2))),
+                ("uncovered-length", ((1, 3), 2, (0, 1, 2), (1,))))}
+
+
+def walk_certificates(count: int, seed: int) -> list[DecompositionCertificate]:
+    """Small certificates whose starters visit each residue once, with lengths outside S+.
+
+    Each starter steps from 0 through the other residues mod n in a random
+    order and back to the class of 0, each step of length at most 2n - 1, so
+    a starter may span several periods.  S+ is a random part of the lengths
+    it uses, sometimes with one more.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        vs = [0]
+        for r in [*rng.sample(range(1, n), n - 1), 0]:
+            step = (r - vs[-1]) % n + n * rng.choice((-1, 0, 0, 1))
+            if step == 0 or vs[-1] + step in vs:
+                break
+            vs.append(vs[-1] + step)
+        else:
+            used = sorted({abs(v - u) for u, v in zip(vs, vs[1:])})
+            s_plus = rng.sample(used, rng.randint(1, len(used))) + \
+                rng.sample(range(1, 7), rng.randint(0, 1))
+            offsets = rng.sample(range(n), rng.randint(1, n))
+            out.append(DecompositionCertificate(ConnectionSet(s_plus), n, FinitePath(vs), offsets))
+    return out
+
+
+GOLDEN_ORACLE = Path(__file__).parent / "golden" / "oracle.txt"
+
+
+def golden_oracle_cases():
+    """(case id, certificate, periods) of the golden window-oracle corpus, in file order.
+
+    Every fifth ``family_corpus()`` certificate (``corpus<i>``, i its index
+    there) and its ``mutate`` mutants (seed 0), the ``window_reproducers``,
+    and the first 300 ``walk_certificates`` of seed 11 (``walk<i>``), each at
+    3, 5 and ``auto`` periods.
+    """
+    rng = random.Random(0)
+    certs = {}
+    for i, cert in enumerate(family_corpus()):
+        if i % 5 == 0:
+            certs[f"corpus{i}"] = cert
+            for j, mutant in enumerate(mutate(cert, rng)):
+                certs[f"corpus{i}-mutant{j}"] = mutant
+    certs.update(window_reproducers())
+    certs.update((f"walk{i}", cert) for i, cert in enumerate(walk_certificates(300, seed=11)))
+    for name, cert in certs.items():
+        for periods in ("3", "5", "auto"):
+            yield f"{name}:{periods}", cert, periods
+
+
+def golden_oracle_digest(cert: DecompositionCertificate, periods: str) -> str:
+    """sha256 of ``window_oracle``'s check and window, or of the refusal's type and message.
+
+    ``auto`` is the window of ``smallest_window_periods``, as in ``hamdec verify``.
+    """
+    try:
+        p = smallest_window_periods(cert) if periods == "auto" else int(periods)
+        text = f"{p} periods: {window_oracle(cert, p)!r}"
+    except (ValueError, HamdecError) as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli.txt"
 
 
@@ -603,12 +685,7 @@ def golden_cli_cases(root: Path):
         certs[name] = cert
         for i, mutant in enumerate(mutate(cert, rng)):
             certs[f"{name}-mutant{i}"] = mutant
-    for name, (s_plus, period, starter, offsets) in (
-            ("foreign-edge", ((1,), 2, (0, -1, 2), (0, 1))),
-            ("disconnected", ((1, 5), 4, (0, -1, -2, -7, -12), (0, 2))),
-            ("uncovered-length", ((1, 3), 2, (0, 1, 2), (1,)))):
-        certs[name] = DecompositionCertificate(ConnectionSet(s_plus), period,
-                                               FinitePath(starter), offsets)
+    certs.update(window_reproducers())
     for name, cert in certs.items():
         (root / f"{name}.json").write_text(to_json(cert, provenance=name), encoding="utf-8")
     (root / "junk.json").write_text("{not json", encoding="utf-8")

@@ -18,6 +18,15 @@ def test_constructions_match_golden_digests():
         assert helpers.golden_digest(call) == expected[case], f"first differing case: {case}"
 
 
+def test_oracle_matches_golden_digests():
+    expected = _expected(helpers.GOLDEN_ORACLE)
+    cases = list(helpers.golden_oracle_cases())
+    assert [case for case, _, _ in cases] == list(expected), "case list differs from the golden file"
+    differing = [case for case, cert, periods in cases
+                 if helpers.golden_oracle_digest(cert, periods) != expected[case]]
+    assert differing == []
+
+
 def test_cli_matches_golden_digests(tmp_path):
     expected = _expected(helpers.GOLDEN_CLI)
     cases = list(helpers.golden_cli_cases(tmp_path))

@@ -277,39 +277,13 @@ def test_window_oracle_refuses_a_length_outside_s_plus(periods):
     assert helpers.reference_window_oracle(cert, periods) == failure
 
 
-def walk_certificates(count: int, seed: int) -> list[DecompositionCertificate]:
-    """Small certificates whose starters visit each residue once, with lengths outside S+.
-
-    Each starter steps from 0 through the other residues mod n in a random
-    order and back to the class of 0, each step of length at most 2n - 1.
-    S+ is a random part of the lengths it uses, sometimes with one more.
-    """
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randint(1, 6)
-        vs = [0]
-        for r in [*rng.sample(range(1, n), n - 1), 0]:
-            step = (r - vs[-1]) % n + n * rng.choice((-1, 0, 0, 1))
-            if step == 0 or vs[-1] + step in vs:
-                break
-            vs.append(vs[-1] + step)
-        else:
-            used = sorted({abs(v - u) for u, v in zip(vs, vs[1:])})
-            s_plus = rng.sample(used, rng.randint(1, len(used))) + \
-                rng.sample(range(1, 7), rng.randint(0, 1))
-            offsets = rng.sample(range(n), rng.randint(1, n))
-            out.append(DecompositionCertificate(ConnectionSet(s_plus), n, FinitePath(vs), offsets))
-    return out
-
-
 def test_window_oracle_accepts_no_length_outside_s_plus():
     # Every starter edge, of length at most 2n - 1, has a translate inside a
     # slab of 3 or 5 periods, so a certificate the oracle accepts uses only
     # lengths in S+.  Before the oracle checked this, it accepted 53 of these
     # outcomes whose starters use other lengths.
     accepted = 0
-    for cert in walk_certificates(2000, seed=7):
+    for cert in helpers.walk_certificates(2000, seed=7):
         for periods in (3, 5):
             outcome = oracle_outcome(window_oracle, cert, periods)
             assert outcome == oracle_outcome(helpers.reference_window_oracle, cert, periods)
