@@ -39,17 +39,16 @@ from .verifier import verify_certificate
 MAX_PERIOD = 1_000_000
 
 
-def _check_period(s_plus: ConnectionSet | str, family: str, period: int) -> None:
+def _check_period(text: str, family: str, period: int) -> None:
     """Refuse a ``family`` certificate whose period is above the cap.
 
     Every constructor calls this with the period of the certificate it
     returns, before it builds the starter or delegates to another family.
     The families whose S+ is a run of integers call it before they build
     the set as well, and name the set by a short text such as ``{1..k}``;
-    a connection set is written by ``format_ints``.
+    the others name it by ``format_ints``.
     """
     if period > MAX_PERIOD:
-        text = s_plus if isinstance(s_plus, str) else format_ints(s_plus.s_plus)
         raise PeriodTooLarge(
             f"S+={text} needs a {family} certificate of period {period}, "
             f"more than the cap of {MAX_PERIOD}")
@@ -126,31 +125,23 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
     The starter alternates steps of +a with steps of +-b: a forward block
     [v, v+a, v+a+b] jumps ahead, then a run of backward blocks [v, v+a, v-b]
     walks back down in steps of t = b - a until the next forward block's
-    start is reached.  The resulting path has 2b edges, b of each length,
-    endpoints 0 and 2b, and one vertex per residue class mod 2b.  The second
-    Hamilton path is the b-shift of the first.
+    start is reached.  The forward blocks start at i*a mod t for even i < t,
+    and the last one at t.  The resulting path has 2b edges, b of each
+    length, endpoints 0 and 2b, and one vertex per residue class mod 2b.
+    The second Hamilton path is the b-shift of the first.
     """
     if not (1 <= a < b):
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     cs = _admissible((a, b))
-    _check_period(cs, "four-valent", 2 * b)
+    _check_period(format_ints(cs.s_plus), "four-valent", 2 * b)
 
     t = b - a
-    m = a % t
-    alpha = {i: (i * m) % t for i in range(0, t, 2)}
-    alpha[t] = t
-
+    starts = [i * a % t for i in range(0, t, 2)] + [t]
     chain = _Chain(0)
-    for i in range(0, t, 2):
-        start = alpha[i]
-        nxt = alpha[i + 2]
+    for start, nxt in zip(starts, starts[1:]):
         chain.block(start, (a, b))
-        # Backward run from 2a + alpha_i + t down to t + alpha_{i+2}; the gap
-        # is always a nonnegative multiple of t, so the run lands exactly.
-        top = 2 * a + start + t
-        stop = t + nxt
-        assert (top - stop) % t == 0 and top >= stop
-        chain.block(top, (a, -b) * ((top - stop) // t + 1))
+        # It lands on t + nxt: 2a + start - nxt is a multiple of t above -t.
+        chain.run(range(2 * a + start + t, nxt, -t), (a, -b))
     chain.block(t, (a, b))
 
     return _certified(cs, 2 * b, chain.path())
@@ -180,9 +171,10 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
 
     q must be a Hamilton path on the residues mod k whose cyclic edge-length
     multiset matches the cyclic lengths of the a_i.  Its steps are realized
-    by signed magnitudes b_i, giving a path P1 from 0 that hits every residue
-    class mod k once; the starter is P1, a length-k edge, the k-shift of P1
-    walked backwards, and a final length-k edge into 2k.
+    by signed magnitudes b_i, giving a path P1 from 0 to its step sum s that
+    hits every residue class mod k once.  The starter is four blocks: P1's
+    steps from 0, a k-edge at s, P1's steps reversed and negated from s + k
+    (the k-shift of P1 walked back), and a k-edge from k into 2k.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError(f"k must be an odd integer >= 3, got {k}")
@@ -193,7 +185,7 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
         raise ValueError(
             f"magnitudes must be positive and not divisible by {k}: {format_ints(a_list, '()')}")
     cs = _admissible((*a_list, k))
-    _check_period(cs, "cyclic-lift", 2 * k)
+    _check_period(format_ints(cs.s_plus), "cyclic-lift", 2 * k)
 
     if not isinstance(q, FinitePath):
         q = FinitePath(q)
@@ -211,16 +203,13 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
 
     steps = [(v - u) % k for u, v in zip(residues, residues[1:])]
     signed = _assign_signs(k, a_list, steps)
-
-    sums = []
-    acc = 0
-    for z in signed:
-        acc += z
-        sums.append(acc)
-    sigma = sums[-1]
-
-    vertices = [0, *sums, sigma + k, *(c + k for c in reversed(sums[:-1])), k, 2 * k]
-    return _certified(cs, 2 * k, vertices)
+    sigma = sum(signed)
+    chain = _Chain(0)
+    chain.block(0, signed)
+    chain.block(sigma, (k,))
+    chain.block(sigma + k, [-z for z in reversed(signed)])
+    chain.block(k, (k,))
+    return _certified(cs, 2 * k, chain.path())
 
 
 def walecki_path(k: int) -> FinitePath:
@@ -296,18 +285,8 @@ def construct_skip_k(k: int) -> DecompositionCertificate:
         # k = 3 mod 4.  The ascent interleaves k-3, k-7, ... with 5, 9, ...
         # and the descent interleaves 2, 6, ... with k-4, k-8, ...
         v = (k + 1) * (k - 2) // 4
-        ascent = []
-        hi, lo = k - 3, 5
-        while hi >= 4:
-            ascent += [hi, lo]
-            hi -= 4
-            lo += 4
-        descent = []
-        lo, hi = 2, k - 4
-        while hi >= 3:
-            descent += [-lo, -hi]
-            lo += 4
-            hi -= 4
+        ascent = [m for pair in zip(range(k - 3, 3, -4), range(5, k, 4)) for m in pair]
+        descent = [-m for pair in zip(range(2, k, 4), range(k - 4, 2, -4)) for m in pair]
         chain.block(0, (1,))
         chain.block(1, ascent)
         chain.block(v, (-(k - 1),))
@@ -350,7 +329,7 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
         raise ValueError(f"c must be at least 3, got {c}")
     t = c // 2
     cs = _admissible((1, 2, c))
-    _check_period(cs, "one-two-c", 3 if t == 2 else 3 * t)
+    _check_period(format_ints(cs.s_plus), "one-two-c", 3 if t == 2 else 3 * t)
     # c = 4 goes to the skip-k family: the even-t chain does not close at t = 2.
     if t == 2:
         return construct_skip_k(3)
@@ -415,7 +394,7 @@ def construct_with_family(s: ConnectionSet) -> tuple[str, DecompositionCertifica
 
     tried = list(_FAMILIES[:-1])
     if k >= 3 and k % 2 == 1 and k in sp and all(a % k for a in sp if a != k):
-        _check_period(s, "cyclic-lift", 2 * k)
+        _check_period(format_ints(sp), "cyclic-lift", 2 * k)
         a_list = tuple(a for a in sp if a != k)
         outcome = find_path(k, [circular_length(0, a, k) for a in a_list])
         if outcome.found:

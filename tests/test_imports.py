@@ -31,6 +31,14 @@ def _modules():
             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"]
 
 
+def test_no_assert_statements():
+    # ``python -O`` strips assert statements, so a check the package relies
+    # on must raise explicitly.
+    offenders = [f"{name}:{node.lineno}" for name, tree in _modules()
+                 for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
 def _used_names(tree) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | \
            {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
