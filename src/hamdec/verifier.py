@@ -175,7 +175,7 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     n = cert.period
     s_plus = cert.connection_set.s_plus
     max_s = s_plus[-1]
-    if periods * n < 2 * max_s:
+    if periods < smallest_window_periods(cert):
         raise WindowTooSmall(
             f"window of {periods} periods ({periods * n}) cannot hold edges of length {max_s}")
 
@@ -200,14 +200,11 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     for progs in paths:
         deg = bytearray(min(width, sum([len(r) for r, _ in progs]) + 1))
         for r, d in progs:
-            a, b = r.start - core_lo, r.stop - core_lo
-            if b > 0:
-                i = a % n if a < 0 else a
-                deg[i:b:n] = deg[i:b:n].translate(_INC)
-            a, b = a + d, b + d
-            if b > 0:
-                i = a % n if a < 0 else a
-                deg[i:b:n] = deg[i:b:n].translate(_INC)
+            for shift in (-core_lo, d - core_lo):
+                a, b = r.start + shift, r.stop + shift
+                if b > 0:
+                    i = a % n if a < 0 else a
+                    deg[i:b:n] = deg[i:b:n].translate(_INC)
         i = len(deg) - len(deg.lstrip(b"\x02"))
         if i < len(deg):
             x = core_lo + i
