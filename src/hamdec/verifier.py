@@ -161,14 +161,21 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     Materializes every Hamilton path restricted to the slab, as one progression
     of translates per starter edge and offset, and checks, inside a core
     sub-window where no boundary effect can bite: degree exactly 2 per path,
-    no cycles, a single connected piece per path, pairwise edge disjointness,
-    that every graph edge is covered exactly once, and that every edge used
-    anywhere in the slab is an edge of the graph.  Degrees are counted
+    no cycles and a single connected piece per path.  Over the whole slab it
+    checks pairwise edge disjointness, that every graph edge is covered, and
+    that every edge used is an edge of the graph.  Degrees are counted
     one byte per vertex on the first (edges + 1) vertices of the core, each
     progression's endpoints as one extended slice of step n.  The union-find
     still walks every edge of the slab, and the last three checks keep, per
     edge length ``d``, the set of lower endpoints ``u`` of the edges
     ``(u, u + d)`` used so far, walking each progression once.
+
+    Coverage is exact at every window the oracle accepts.  Every used edge
+    with both ends in the slab is materialized, so a graph edge of the slab
+    is covered there if and only if its class (d, u mod n) is used by some
+    path.  And ``periods * n >= 2 * max_s`` gives 2Pn - d >= n - 1 for every
+    d in S+, so ``range(w_lo, w_hi - d + 1)`` meets every class mod n: the
+    slab holds a translate of every graph edge.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -239,7 +246,7 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
         if len(roots) > 1:
             return WindowCheck(False, "path is disconnected inside the window")
 
-    # Pairwise edge-disjoint, and every graph edge inside the core is used
+    # Pairwise edge-disjoint, and every graph edge inside the slab is used
     # exactly once.  ``used[d]`` holds the lower endpoints of the length-d
     # edges seen so far, and a progression is itself the set of its edges'
     # lower endpoints, so a progression that does not grow ``used[d]`` by its
@@ -259,7 +266,7 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
                 u = next(filter(earlier.__contains__, r))
                 return WindowCheck(False, f"edge {(u, u + d)} used by two paths")
     missing = [(u, d) for d in s_plus for u in islice(filterfalse(
-        used[d].__contains__, range(core_lo, core_hi - d + 1)), 1)]
+        used[d].__contains__, range(w_lo, w_hi - d + 1)), 1)]
     if missing:
         u, d = min(missing)
         return WindowCheck(False, f"edge {(u, u + d)} not covered")

@@ -313,9 +313,9 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
 
     Materializes every Hamilton path restricted to the slab and checks, inside
     a core sub-window where no boundary effect can bite: degree exactly 2 per
-    path, no cycles, a single connected piece per path, pairwise edge
-    disjointness, that every graph edge is covered exactly once, and that
-    every edge used in the slab is an edge of the graph.
+    path, no cycles and a single connected piece per path.  Over the whole
+    slab it checks pairwise edge disjointness, that every graph edge is
+    covered, and that every edge used is an edge of the graph.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -362,7 +362,7 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
             if len(roots) > 1:
                 return WindowCheck(False, "path is disconnected inside the window")
 
-    # Pairwise edge-disjoint, and every graph edge inside the core is used
+    # Pairwise edge-disjoint, and every graph edge inside the slab is used
     # exactly once.
     seen: set[tuple[int, int]] = set()
     for edges in paths:
@@ -370,9 +370,9 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
             if e in seen:
                 return WindowCheck(False, f"edge {e} used by two paths")
             seen.add(e)
-    for x in range(core_lo, core_hi + 1):
+    for x in range(w_lo, w_hi + 1):
         for d in s_plus:
-            if x + d <= core_hi and (x, x + d) not in seen:
+            if x + d <= w_hi and (x, x + d) not in seen:
                 return WindowCheck(False, f"edge ({x}, {x + d}) not covered")
     foreign = [(u, v) for u, v in seen if v - u not in s_plus]
     if foreign:

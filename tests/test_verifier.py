@@ -242,14 +242,14 @@ def test_window_oracle_matches_reference(case):
     ((1,), 1, (2, 3, -2), (0,), "cycle inside the window"),
     ((1,), 1, (1, 3), (0,), "path is disconnected inside the window"),
     ((2,), 2, (0, -1, -2), (0, 1), "edge (-6, -5) used by two paths"),
-    ((1, 3), 2, (2, -1, 4), (1,), "edge (-1, 0) not covered"),
+    ((1, 3), 2, (2, -1, 4), (1,), "edge (-6, -5) not covered"),
     # A swapped-vertex mutant of construct_4valent(5, 9) whose paths share an
     # edge of length 10 > max(S+): edge keys must span the starter's lengths.
     ((5, 9), 18, (0, 5, 14, 19, 10, 15, 6, 11, 21, 7, 16, 2, 12, 17, 8, 13, 4, 9, 18), (0, 9),
      "edge (-52, -42) used by two paths"),
-    # The first uncovered edges are (-2, -1) and (-3, 0): the smallest x wins,
-    # though its length is the larger.
-    ((1, 3), 3, (-3, -2, 2, 0), (0,), "edge (-3, 0) not covered"),
+    # The first uncovered edges are (-8, -7) and (-9, -6): the smallest x
+    # wins, though its length is the larger.
+    ((1, 3), 3, (-3, -2, 2, 0), (0,), "edge (-9, -6) not covered"),
     # The second path's first progression (length 1) is disjoint from the
     # first path; its second (length 3) is not.
     ((1, 3), 6, (0, 1, 4, 5, 2, 3, 6), (0, 1), "edge (-16, -13) used by two paths"),
@@ -290,6 +290,32 @@ def test_window_oracle_accepts_no_length_outside_s_plus():
             if outcome[0] is True:
                 accepted += 1
                 assert "ForeignEdgeLength" not in verify_certificate(cert).failures, cert
+    assert accepted > 300  # the property is not vacuous
+
+
+@pytest.mark.parametrize("periods", [3, 5, 8])
+def test_window_oracle_checks_coverage_over_the_slab(periods):
+    # No path uses an edge of length 3.  At 3 periods the core, |x| <= 1, is
+    # too narrow to hold one, so coverage is checked over the whole slab.
+    cert = helpers.window_reproducers()["uncovered-length"]
+    assert verify_certificate(cert).failures == ("LengthResidueGap",)
+    u = -2 * periods
+    failure = WindowCheck(False, f"edge ({u}, {u + 3}) not covered")
+    assert window_oracle(cert, periods) == failure
+    assert helpers.reference_window_oracle(cert, periods) == failure
+
+
+def test_window_oracle_accepts_no_uncovered_length():
+    # The slab holds a translate of every graph edge, so a certificate the
+    # oracle accepts uses every class (d, r) with d in S+.  When coverage was
+    # checked on the core alone, 6 of these outcomes were accepted with a
+    # LengthResidueGap.
+    accepted = 0
+    for cert in helpers.walk_certificates(2000, seed=7):
+        for periods in (3, 5):
+            if oracle_outcome(window_oracle, cert, periods)[0] is True:
+                accepted += 1
+                assert "LengthResidueGap" not in verify_certificate(cert).failures, cert
     assert accepted > 300  # the property is not vacuous
 
 
@@ -366,7 +392,7 @@ def test_window_oracle_memory_with_many_lengths():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert check == WindowCheck(False, "edge (-3003, -3002) not covered")
+    assert check == WindowCheck(False, "edge (-9003, -9001) not covered")
     assert peak < 16 * 2**20
 
 
