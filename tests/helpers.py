@@ -623,6 +623,23 @@ def walk_certificates(count: int, seed: int) -> list[DecompositionCertificate]:
     return out
 
 
+def random_certificates(count: int, seed: int) -> list[DecompositionCertificate]:
+    """Small certificates with arbitrary starters, nearly all of them damaged.
+
+    Period n <= 6, one to three lengths from 1..5 in S+, a starter of 2 to
+    n + 4 distinct vertices from -3..n+3, and 1 to n distinct offsets.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        s_plus = rng.sample(range(1, 6), rng.randint(1, 3))
+        vs = rng.sample(range(-3, n + 4), rng.randint(2, n + 4))
+        offsets = rng.sample(range(n), rng.randint(1, n))
+        out.append(DecompositionCertificate(ConnectionSet(s_plus), n, FinitePath(vs), offsets))
+    return out
+
+
 GOLDEN_ORACLE = Path(__file__).parent / "golden" / "oracle.txt"
 
 
@@ -631,8 +648,8 @@ def golden_oracle_cases():
 
     Every fifth ``family_corpus()`` certificate (``corpus<i>``, i its index
     there) and its ``mutate`` mutants (seed 0), the ``window_reproducers``,
-    and the first 300 ``walk_certificates`` of seed 11 (``walk<i>``), each at
-    3, 5 and ``auto`` periods.
+    300 ``walk_certificates`` (``walk<i>``) and 200 ``random_certificates``
+    (``random<i>``), both of seed 11, each at 3, 5 and ``auto`` periods.
     """
     rng = random.Random(0)
     certs = {}
@@ -643,6 +660,8 @@ def golden_oracle_cases():
                 certs[f"corpus{i}-mutant{j}"] = mutant
     certs.update(window_reproducers())
     certs.update((f"walk{i}", cert) for i, cert in enumerate(walk_certificates(300, seed=11)))
+    certs.update((f"random{i}", cert)
+                 for i, cert in enumerate(random_certificates(200, seed=11)))
     for name, cert in certs.items():
         for periods in ("3", "5", "auto"):
             yield f"{name}:{periods}", cert, periods
