@@ -137,12 +137,13 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
 
     t = b - a
     starts = [i * a % t for i in range(0, t, 2)] + [t]
+    forward, backward = (a, b), (a, -b)
     chain = _Chain(0)
     for start, nxt in zip(starts, starts[1:]):
-        chain.block(start, (a, b))
-        # It lands on t + nxt: 2a + start - nxt is a multiple of t above -t.
-        chain.run(range(2 * a + start + t, nxt, -t), (a, -b))
-    chain.block(t, (a, b))
+        chain.block(start, forward)
+        # It lands on t + nxt: start + 2a - nxt is a multiple of t above -t.
+        chain.run(range(start + a + b, nxt, -t), backward)
+    chain.block(t, forward)
 
     return _certified(cs, 2 * b, chain.path())
 

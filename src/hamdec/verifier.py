@@ -160,22 +160,22 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
 
     Materializes every Hamilton path restricted to the slab, as one progression
     of translates per starter edge and offset, and checks, inside a core
-    sub-window where no boundary effect can bite: degree exactly 2 per path,
-    no cycles and a single connected piece per path.  Over the whole slab it
-    checks pairwise edge disjointness, that every graph edge is covered, and
-    that every edge used is an edge of the graph.  Degrees are counted
-    one byte per vertex on the first (edges + 1) vertices of the core, each
-    progression's endpoints as one extended slice of step n.  The union-find
-    still walks every edge of the slab, and the last three checks keep, per
-    edge length ``d``, the set of lower endpoints ``u`` of the edges
+    sub-window where no boundary effect can bite, degree exactly 2 and a
+    single connected piece per path.  Over the whole slab it checks that no
+    path has a cycle, pairwise edge disjointness, that every graph edge is
+    covered, and that every edge used is an edge of the graph.  Degrees are
+    counted one byte per vertex on the first (edges + 1) vertices of the
+    core, each progression's endpoints as one extended slice of step n.  The
+    union-find walks every edge of the slab, and the last three checks keep,
+    per edge length ``d``, the set of lower endpoints ``u`` of the edges
     ``(u, u + d)`` used so far, walking each progression once.
 
     Coverage is exact at every window the oracle accepts.  Every used edge
     with both ends in the slab is materialized, so a graph edge of the slab
     is covered there if and only if its class (d, u mod n) is used by some
-    path.  And ``periods * n >= 2 * max_s`` gives 2Pn - d >= n - 1 for every
-    d in S+, so ``range(w_lo, w_hi - d + 1)`` meets every class mod n: the
-    slab holds a translate of every graph edge.
+    path.  And ``periods * n >= 2 * max_s`` gives 2Pn - d >= 3Pn/2 >= n - 1
+    for every d in S+, so ``range(w_lo, w_hi - d + 1)`` meets every class
+    mod n: the slab holds a translate of every graph edge.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -251,8 +251,11 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # edges seen so far, and a progression is itself the set of its edges'
     # lower endpoints, so a progression that does not grow ``used[d]`` by its
     # length shares an edge.  Each path is a forest and repeats no edge of its
-    # own, so that edge is one of an earlier path's, named only then.  Of the
-    # first uncovered edge of each length, the smallest comes first.  Last,
+    # own, so that edge is one of an earlier path's, named only then.  The
+    # slab has w_hi - w_lo - d + 1 edges of length d, and ``used[d]`` holds
+    # only those, so a length is covered iff it holds that many; only a
+    # length short of it is scanned for its first uncovered edge, and of
+    # these the smallest edge comes first.  Last,
     # a used length outside S+ gives no edge of the graph: the smallest used
     # edge of such a length is named.
     used: dict[int, set[int]] = defaultdict(set)
@@ -265,8 +268,8 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
                 earlier = {u for other in paths[:k] for q, e in other if e == d for u in q}
                 u = next(filter(earlier.__contains__, r))
                 return WindowCheck(False, f"edge {(u, u + d)} used by two paths")
-    missing = [(u, d) for d in s_plus for u in islice(filterfalse(
-        used[d].__contains__, range(w_lo, w_hi - d + 1)), 1)]
+    missing = [(u, d) for d in s_plus if len(used[d]) <= w_hi - w_lo - d
+               for u in islice(filterfalse(used[d].__contains__, range(w_lo, w_hi - d + 1)), 1)]
     if missing:
         u, d = min(missing)
         return WindowCheck(False, f"edge {(u, u + d)} not covered")

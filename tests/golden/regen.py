@@ -5,8 +5,8 @@ of ``constructions.txt``, ``oracle.txt`` and ``cli.txt`` is
 ``<case id> <sha256>``; see ``helpers.golden_construction_cases``,
 ``helpers.golden_oracle_cases`` and ``helpers.golden_cli_cases`` for the
 cases, and ``helpers.golden_digest``, ``helpers.golden_oracle_digest`` and
-``helpers.golden_cli_digest`` for what is hashed.  Run it only when an output changes on purpose, and list
-the changed case ids in CHANGES.md.
+``helpers.golden_cli_digest`` for what is hashed.  Run it only when an
+output changes on purpose, and list the changed case ids in CHANGES.md.
 """
 import sys
 import tempfile

@@ -312,9 +312,9 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
     Brute-force check on the finite slab [-periods*n, periods*n].
 
     Materializes every Hamilton path restricted to the slab and checks, inside
-    a core sub-window where no boundary effect can bite: degree exactly 2 per
-    path, no cycles and a single connected piece per path.  Over the whole
-    slab it checks pairwise edge disjointness, that every graph edge is
+    a core sub-window where no boundary effect can bite, degree exactly 2 and
+    a single connected piece per path.  Over the whole slab it checks that no
+    path has a cycle, pairwise edge disjointness, that every graph edge is
     covered, and that every edge used is an edge of the graph.
     """
     if periods < 3:
