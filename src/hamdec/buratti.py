@@ -10,14 +10,20 @@ smaller length on ties, and the step in the negative direction is tried
 before the positive one; the first complete path under this order is the
 canonical witness, so results are deterministic.
 
-The search is a loop over one stack of untried moves ``(depth, length,
-vertex)``, so it has no recursion-depth limit.  Expanding a node pushes its
-moves in reverse order, so that they pop in the order above; a popped move
-first unwinds the path to its depth.  The length order is a sort by the int
-key ``d - remaining[d] * k``, updated by ``k`` at every step.
+The search is a loop, so it has no recursion-depth limit.  The lengths with
+uses left are kept in ``order``, sorted by the int key
+``d - remaining[d] * k``: taking a use moves its length further on with
+``bisect.insort`` when its larger key passes the next one, and undoing the
+use puts it back at its old index, so a node always finds the order as it
+left it.  Move 2i of a node steps down by ``order[i]`` and move 2i + 1 steps
+up by it; ``cursor`` holds, for each vertex of the path, the move that led
+on from it, and a return to the vertex resumes after that move.  The state
+is ``path``, ``steps`` and ``cursor``, one entry per depth, the order and a
+key per length, so its memory is O(k + m) for m distinct lengths.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import random
@@ -32,9 +38,10 @@ from .model import Value
 STATUS_FOUND = "found"
 STATUS_EXHAUSTED = "exhausted"
 
-# The largest k ``find_path`` searches; its state grows linearly in k (the
-# 1x999999 search at the cap peaks near 130 MB), and a cyclic-lift search
-# has k <= MAX_PERIOD / 2 = 500,000.
+# The largest k ``find_path`` searches; its state grows linearly in k, and a
+# cyclic-lift search has k <= MAX_PERIOD / 2 = 500,000.  At the cap the
+# search peaks at 80 MB with 1, 2 or 5 distinct lengths (1x999999,
+# 1x999997,2x2 and 1x999991,2x2,3x2,4x2,5x2; Python 3.11, 2-core host).
 MAX_K = 1_000_000
 # The largest prime ``sweep`` takes: from p = 53 on the multiset count
 # exceeds sys.maxsize, which ``random.sample`` cannot draw from.
@@ -91,47 +98,96 @@ def find_path(k: int, lengths: Mapping[int, int] | Iterable[int]) -> SearchOutco
         raise BadMultisetSize(f"multiset has {total} lengths, expected exactly {k - 1}")
     if k > MAX_K:
         raise BadMultisetSize(f"k={k} is above the search cap of {MAX_K}")
-    present = list(counts)
     key = [0] * (k // 2 + 1)  # key[d] = d - remaining[d] * k: sorts by (-remaining, d)
     for d, c in counts.items():
         key[d] = d - c * k
+    by_key = key.__getitem__
+    order = sorted(counts, key=by_key)  # the lengths with uses left, in search order
     visited = bytearray(k)
     visited[0] = 1
     path = [0]
-    steps: list[int] = []  # steps[i] is the length of the edge path[i] -> path[i + 1]
+    steps: list[int] = []   # steps[i] is the length of the edge path[i] -> path[i + 1]
+    cursor: list[int] = []  # cursor[i] is the move of path[i] that led to path[i + 1]
+    depth = 1
     nodes = 0
-    witness = None
     started = time.perf_counter()
 
-    # The root keeps only w = d (2w <= k): the negative step lands above k/2.
-    stack = [(1, d, d) for d in sorted(present, key=key.__getitem__, reverse=True)]
-    while stack:
-        depth, d, w = stack.pop()
-        while len(path) > depth:
-            visited[path.pop()] = 0
-            key[steps.pop()] -= k
+    # The root tries only the up moves, the odd ones: a down move lands
+    # above k/2.
+    i = 0
+    d = x = order[0]
+    move = 1
+    while True:
+        # Take the move: d leaves the order, or with uses left moves on to
+        # its larger key, unless it still sorts before the next length.
         nodes += 1
-        visited[w] = 1
-        path.append(w)
+        visited[x] = 1
+        path.append(x)
         steps.append(d)
-        key[d] += k
+        cursor.append(move)
         depth += 1
+        kd = key[d] = key[d] + k
+        if kd >= 0:
+            del order[i]
+        elif i + 1 < len(order) and key[order[i + 1]] < kd:
+            del order[i]
+            bisect.insort(order, d, i, key=by_key)
         if depth == k:
-            witness = tuple(path)
-            break
-        # Pushed in reverse so that they pop in search order.  Exhausted
-        # lengths sort last, so they come first here.
-        for d in sorted(present, key=key.__getitem__, reverse=True):
-            if key[d] > 0:
+            return SearchOutcome(tuple(path), nodes, time.perf_counter() - started)
+        # Find the next move: the first open one of w, else, after each
+        # return to a parent, the first open one after its cursor.
+        w = x
+        i = 0
+        while True:
+            for i in range(i, len(order)):
+                d = order[i]
+                x = w - d
+                if x < 0:
+                    x += k
+                if not visited[x]:
+                    # When 2d = k the up move reaches the same vertex: skip it.
+                    move = 2 * i if 2 * d != k else 2 * i + 1
+                    break
+                x = w + d
+                if x >= k:
+                    x -= k
+                if not visited[x]:
+                    move = 2 * i + 1
+                    break
+            else:
+                # No move left: back to the parent.  d goes back to index i,
+                # so the parent's order is as it was and its cursor still
+                # points at the move just undone.
+                depth -= 1
+                visited[path.pop()] = 0
+                d = steps.pop()
+                move = cursor.pop()
+                i = move >> 1
+                kd = key[d]
+                key[d] = kd - k
+                if kd >= 0:
+                    order.insert(i, d)
+                elif order[i] != d:
+                    order.remove(d)
+                    order.insert(i, d)
+                w = path[-1]
+                if depth == 1:  # the root: the next up move is always open
+                    i += 1
+                    if i == len(order):
+                        return SearchOutcome(None, nodes, time.perf_counter() - started)
+                    d = x = order[i]
+                    move = 2 * i + 1
+                    break
+                if not move & 1:  # a down move was undone: its up move is next
+                    x = w + d
+                    if x >= k:
+                        x -= k
+                    if not visited[x]:
+                        move += 1
+                        break
+                i += 1
                 continue
-            up = (w + d) % k
-            down = (w - d) % k
-            if up != down and not visited[up]:
-                stack.append((depth, d, up))
-            if not visited[down]:
-                stack.append((depth, d, down))
-
-    return SearchOutcome(witness, nodes, time.perf_counter() - started)
+            break
 
 
 def is_odd_prime(p: int) -> bool:
@@ -202,9 +258,12 @@ def sweep(p: int, *, sample: int | None = None, seed: int = 0, jobs: int = 1) ->
     searches are distributed one multiset per task and the results are merged
     back in enumeration order, so the report is identical for any job count.
     At most ``min(jobs, os.cpu_count(), searches)`` worker processes start.
-    A p above ``MAX_SWEEP_PRIME``, or more than ``MAX_SWEEP_SEARCHES``
-    searches, raises ValueError before anything is enumerated or drawn.
+    A sample below 1, a p above ``MAX_SWEEP_PRIME``, or more than
+    ``MAX_SWEEP_SEARCHES`` searches raises ValueError before anything is
+    enumerated or drawn.
     """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     if p > MAX_SWEEP_PRIME:
         raise ValueError(f"p={p} is above the sweep cap of {MAX_SWEEP_PRIME}")
     if not is_odd_prime(p):

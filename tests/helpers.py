@@ -7,6 +7,7 @@ import io
 import math
 import random
 import re
+import resource
 import time
 from collections import Counter
 from functools import partial
@@ -116,6 +117,11 @@ def reference_find_path(k: int, lengths) -> SearchOutcome:
     witness = tuple(path) if extend() else None
     return SearchOutcome(witness=witness, nodes_expanded=nodes,
                          elapsed=time.perf_counter() - started)
+
+
+def limit_address_space_128_mib() -> None:
+    """A ``preexec_fn`` for a child that must run in 128 MiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
 
 
 def reference_realize(start: int, steps) -> tuple[int, ...]:

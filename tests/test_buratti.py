@@ -1,12 +1,18 @@
 import concurrent.futures
 import hashlib
+import os
+import random
+import subprocess
+import sys
 import time
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import hamdec
 from hamdec import (
     BadMultisetSize,
     NotPrime,
@@ -115,6 +121,24 @@ class TestFindPath:
                 cases += 1
         assert cases == 2061
 
+    def test_matches_reference_search_beyond_k11(self):
+        # The exhaustive check above stops at k = 11 and the pinned sweeps
+        # are all prime: 200 seeded multisets with k in 12..24, 91 of them
+        # with an even k that uses the length k/2, whose two moves coincide.
+        rng = random.Random(18)
+        cases = []
+        for _ in range(200):
+            k = rng.randint(12, 24)
+            cases.append((k, [rng.randint(1, k // 2) for _ in range(k - 1)]))
+        assert sum(k % 2 == 0 and k // 2 in lengths for k, lengths in cases) == 91
+        nodes = 0
+        for k, lengths in cases:
+            got = find_path(k, lengths)
+            want = helpers.reference_find_path(k, lengths)
+            assert (got.witness, got.nodes_expanded) == (want.witness, want.nodes_expanded)
+            nodes += got.nodes_expanded
+        assert nodes == 102990
+
     def test_long_path_needs_no_recursion(self):
         outcome = find_path(1001, [1] * 1000)
         assert outcome.witness == tuple(range(1001))
@@ -216,6 +240,26 @@ class TestLimits:
         with pytest.raises(BadMultisetSize):
             find_path(buratti.MAX_K + 1, {1: buratti.MAX_K})
         assert time.perf_counter() - start < 0.5
+
+    def test_search_runs_in_128_mib(self):
+        # Twelve lengths at k = 100,001.  A stack holding every untried
+        # sibling of every level peaked at 133 MB here; one cursor per depth
+        # keeps the search's state O(k + m) for m distinct lengths.
+        code = ("from hamdec import find_path; "
+                "o = find_path(100001, {1: 99978, **{d: 2 for d in range(2, 13)}}); "
+                "print(o.status, o.nodes_expanded)")
+        env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              preexec_fn=helpers.limit_address_space_128_mib,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "found 100601\n", "")
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_sample_below_1_refused_before_drawing(self, monkeypatch, sample):
+        monkeypatch.setattr(buratti, "unrank_multiset", None)
+        monkeypatch.setattr(buratti, "enumerate_multisets", None)
+        with pytest.raises(ValueError, match=f"sample must be at least 1, got {sample}$"):
+            sweep(7, sample=sample)
 
     def test_prime_cap_boundary(self):
         report = sweep(buratti.MAX_SWEEP_PRIME, sample=1, seed=0)

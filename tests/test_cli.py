@@ -1,6 +1,5 @@
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hamdec
+import helpers
 from hamdec import (
     ConnectionSet,
     HamdecError,
@@ -355,6 +355,17 @@ class TestBuratti:
         assert (out + err).count("\n") == 1
         assert "cap" in out + err
 
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_below_1_exit_2(self, capsys, sample):
+        # An empty sweep would read as clean, a negative one failed in random.sample.
+        code, out, err = run(capsys, "buratti", "--sweep-prime", "7", "--sample", sample)
+        assert (code, out, err) == (2, "", f"error: sample must be at least 1, got {sample}\n")
+
+    def test_sample_of_1_exit_0(self, capsys):
+        code, out, _ = run(capsys, "buratti", "--sweep-prime", "7", "--sample", "1")
+        assert code == 0
+        assert "sweep p=7: 1 of 28 multisets, 0 failures" in out
+
     def test_long_path_exit_0(self, capsys):
         code, out, _ = run(capsys, "buratti", "--k", "1001", "--lengths", "1x1000")
         assert code == 0
@@ -520,10 +531,6 @@ def test_closed_stdout_keeps_usage_errors():
     assert "error: the following arguments are required: --set" in err.decode()
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
-
-
 @pytest.mark.parametrize("s, periods", [("1", 62499), ("2837,2839", 5)])
 def test_window_oracle_at_the_cap_runs_in_128_mib(tmp_path, s, periods):
     # The two largest windows under MAX_WINDOW_EDGES that its comment
@@ -538,8 +545,8 @@ def test_window_oracle_at_the_cap_runs_in_128_mib(tmp_path, s, periods):
     env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-m", "hamdec.cli", "verify", "--cert", str(path),
                            "--window-periods", str(periods)],
-                          env=env, preexec_fn=_limit_address_space, capture_output=True,
-                          text=True, timeout=60)
+                          env=env, preexec_fn=helpers.limit_address_space_128_mib,
+                          capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.endswith(f"window oracle ({periods} periods): accepted\n")
 
