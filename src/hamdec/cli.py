@@ -51,6 +51,9 @@ EXIT_EXHAUSTED = 4
 EXIT_INTERNAL = 70
 EXIT_PIPE = 141
 
+# Vertices per write of a found witness.
+_WITNESS_PIECE = 10_000
+
 
 def _parse_set(text: str) -> ConnectionSet:
     try:
@@ -185,8 +188,13 @@ def cmd_buratti(args) -> int:
             raise ValueError("--k requires --lengths")
         outcome = find_path(args.k, _parse_lengths(args.lengths))
         if outcome.found:
-            print(f"found: [{', '.join(map(str, outcome.witness))}]  "
-                  f"(nodes expanded: {outcome.nodes_expanded})")
+            # In pieces: the whole witness as one string would take about
+            # 50 MB more than the search itself at k = MAX_K.
+            witness, write = outcome.witness, sys.stdout.write
+            write("found: [")
+            for i in range(0, len(witness), _WITNESS_PIECE):
+                write((", " if i else "") + ", ".join(map(str, witness[i:i + _WITNESS_PIECE])))
+            write(f"]  (nodes expanded: {outcome.nodes_expanded})\n")
             return EXIT_OK
         print(f"exhausted: no path realizes the multiset  "
               f"(nodes expanded: {outcome.nodes_expanded})")

@@ -39,16 +39,18 @@ from .verifier import verify_certificate
 MAX_PERIOD = 1_000_000
 
 
-def _check_period(text: str, family: str, period: int) -> None:
+def _check_period(s_plus: str | tuple[int, ...], family: str, period: int) -> None:
     """Refuse a ``family`` certificate whose period is above the cap.
 
     Every constructor calls this with the period of the certificate it
     returns, before it builds the starter or delegates to another family.
     The families whose S+ is a run of integers call it before they build
     the set as well, and name the set by a short text such as ``{1..k}``;
-    the others name it by ``format_ints``.
+    the others pass S+ itself, which only a refusal formats, by
+    ``format_ints``.
     """
     if period > MAX_PERIOD:
+        text = s_plus if isinstance(s_plus, str) else format_ints(s_plus)
         raise PeriodTooLarge(
             f"S+={text} needs a {family} certificate of period {period}, "
             f"more than the cap of {MAX_PERIOD}")
@@ -133,7 +135,7 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
     if not (1 <= a < b):
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     cs = _admissible((a, b))
-    _check_period(format_ints(cs.s_plus), "four-valent", 2 * b)
+    _check_period(cs.s_plus, "four-valent", 2 * b)
 
     t = b - a
     starts = [i * a % t for i in range(0, t, 2)] + [t]
@@ -186,7 +188,7 @@ def construct_from_zk_path(k: int, a_list, q: FinitePath) -> DecompositionCertif
         raise ValueError(
             f"magnitudes must be positive and not divisible by {k}: {format_ints(a_list, '()')}")
     cs = _admissible((*a_list, k))
-    _check_period(format_ints(cs.s_plus), "cyclic-lift", 2 * k)
+    _check_period(cs.s_plus, "cyclic-lift", 2 * k)
 
     if not isinstance(q, FinitePath):
         q = FinitePath(q)
@@ -330,7 +332,7 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
         raise ValueError(f"c must be at least 3, got {c}")
     t = c // 2
     cs = _admissible((1, 2, c))
-    _check_period(format_ints(cs.s_plus), "one-two-c", 3 if t == 2 else 3 * t)
+    _check_period(cs.s_plus, "one-two-c", 3 if t == 2 else 3 * t)
     # c = 4 goes to the skip-k family: the even-t chain does not close at t = 2.
     if t == 2:
         return construct_skip_k(3)
@@ -395,7 +397,7 @@ def construct_with_family(s: ConnectionSet) -> tuple[str, DecompositionCertifica
 
     tried = list(_FAMILIES[:-1])
     if k >= 3 and k % 2 == 1 and k in sp and all(a % k for a in sp if a != k):
-        _check_period(format_ints(sp), "cyclic-lift", 2 * k)
+        _check_period(sp, "cyclic-lift", 2 * k)
         a_list = tuple(a for a in sp if a != k)
         outcome = find_path(k, [circular_length(0, a, k) for a in a_list])
         if outcome.found:

@@ -4,10 +4,14 @@
 conditions on the starter path and the offsets.  ``window_oracle`` is the
 independent cross-check: it materializes a finite slab of the infinite graph
 and verifies degrees, acyclicity, connectivity and the edge partition
-directly.  The two must always agree.
+directly.  They are meant to agree, but do not always: the oracle checks
+connectivity only where a whole starter translate fits in the slab, so on a
+long starter it can accept paths that fall apart, which the exact verifier
+refuses.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from itertools import filterfalse, islice
 
@@ -165,10 +169,39 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     path has a cycle, pairwise edge disjointness, that every graph edge is
     covered, and that every edge used is an edge of the graph.  Degrees are
     counted one byte per vertex on the first (edges + 1) vertices of the
-    core, each progression's endpoints as one extended slice of step n.  The
-    union-find walks every edge of the slab, and the last three checks keep,
-    per edge length ``d``, the set of lower endpoints ``u`` of the edges
-    ``(u, u + d)`` used so far, walking each progression once.
+    core, each progression's endpoints as one extended slice of step n.
+    Acyclicity and connectivity come from the starter's ends (below), or from
+    a union-find over every edge of the slab when the starter has an edge
+    longer than ``max_s``.  The last three checks keep, per edge length
+    ``d``, the set of lower endpoints ``u`` of the edges ``(u, u + d)`` used
+    so far, walking each progression once.
+
+    Acyclicity and connectivity are exact from the starter's ends when it
+    has no edge longer than ``max_s = max(S+)``.  Each path ``H`` is the
+    union of the translates ``T_i = starter + i n + o``, i in Z.
+
+    * Every vertex has degree 2.  The degree check has passed, and every
+      core vertex keeps all its true neighbours inside the slab, so its
+      true degree is 2.  The core is at least n + 1 wide, as
+      ``core_hi >= n/2`` for P >= 3, so by periodicity every vertex of
+      ``H`` has degree 2, counted with multiplicity.
+    * Translates meet only end to end.  ``T_i`` is a simple path whose
+      inner vertices have degree 2 inside ``T_i``, so it meets another
+      translate only at its ends, and only at that translate's ends.
+    * So there is no cycle.  The first end of ``T_i`` is then the last end
+      of some ``T_k``, k != i, which forces ``last - first = m n`` with
+      m != 0, and ``T_i`` ends where ``T_{i+m}`` starts.  ``H`` is |m|
+      infinite chains, one per class of i mod |m|, with no finite cycle;
+      the union-find could never report one here.
+    * Connectivity.  A translate that touches ``[-conn_hi, conn_hi]`` lies
+      wholly inside the slab, as ``conn_hi <= w_hi - span``, and the
+      translates wholly inside the slab form an interval of i.  So the core
+      is on one piece iff the indices of the translates touching it share
+      one class mod |m|, which always holds for |m| = 1.
+
+    A starter with an edge longer than ``max_s`` uses a length outside S+,
+    which the exact verifier refuses as ``ForeignEdgeLength``; the
+    union-find keeps this oracle's messages for it unchanged.
 
     Coverage is exact at every window the oracle accepts.  Every used edge
     with both ends in the slab is materialized, so a graph edge of the slab
@@ -222,29 +255,52 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # piece.  Any translate touching the connectivity core must fit in the
     # slab entirely, so the core shrinks with the starter's span; a starter
     # spanning more than the slab leaves nothing to check and the condition
-    # holds vacuously.  Union-find with path halving over every edge of the
-    # slab, on x - w_lo.
-    span = max(cert.starter.vertices) - min(cert.starter.vertices)
+    # holds vacuously.  With no edge longer than max_s the translates chain
+    # end to end (see the docstring): there is no cycle, and the core is on
+    # one piece iff the translates touching it share one class of i mod |m|.
+    # T_i touches it iff a starter vertex lies in [-conn_hi, conn_hi] - i n - o,
+    # which one bisect of the sorted vertices decides.
+    vs = cert.starter.vertices
+    span = max(vs) - min(vs)
     conn_hi = min(core_hi, w_hi - span)
-    for progs in paths:
-        parent = list(range(w_hi - w_lo + 1))
-        for r, d in progs:
-            for u in range(r.start - w_lo, r.stop - w_lo, n):
-                v = u + d
-                while parent[u] != u:
-                    parent[u] = u = parent[parent[u]]
-                while parent[v] != v:
-                    parent[v] = v = parent[parent[v]]
-                if u == v:
-                    return WindowCheck(False, "cycle inside the window")
-                parent[u] = v
-        roots = set()
-        for x in range(-conn_hi - w_lo, conn_hi - w_lo + 1):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            roots.add(x)
-        if len(roots) > 1:
-            return WindowCheck(False, "path is disconnected inside the window")
+    if max(d for _, d in paths[0]) <= max_s:
+        m, rest = divmod(abs(vs[-1] - vs[0]), n)
+        if rest:
+            raise AssertionError(
+                "degree 2 everywhere, yet the starter's ends are no multiple of the period apart")
+        if m > 1 and conn_hi >= 0:
+            ordered = sorted(vs)
+            for o in cert.offsets:
+                classes = set()
+                for i in range(-((conn_hi + o + ordered[-1]) // n),
+                               (conn_hi - o - ordered[0]) // n + 1):
+                    j = bisect_left(ordered, -conn_hi - i * n - o)
+                    if j < len(ordered) and ordered[j] <= conn_hi - i * n - o:
+                        classes.add(i % m)
+                if len(classes) > 1:
+                    return WindowCheck(False, "path is disconnected inside the window")
+    else:
+        # An edge longer than max_s: union-find with path halving over every
+        # edge of the slab, on x - w_lo.
+        for progs in paths:
+            parent = list(range(w_hi - w_lo + 1))
+            for r, d in progs:
+                for u in range(r.start - w_lo, r.stop - w_lo, n):
+                    v = u + d
+                    while parent[u] != u:
+                        parent[u] = u = parent[parent[u]]
+                    while parent[v] != v:
+                        parent[v] = v = parent[parent[v]]
+                    if u == v:
+                        return WindowCheck(False, "cycle inside the window")
+                    parent[u] = v
+            roots = set()
+            for x in range(-conn_hi - w_lo, conn_hi - w_lo + 1):
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                roots.add(x)
+            if len(roots) > 1:
+                return WindowCheck(False, "path is disconnected inside the window")
 
     # Pairwise edge-disjoint, and every graph edge inside the slab is used
     # exactly once.  ``used[d]`` holds the lower endpoints of the length-d

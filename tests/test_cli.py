@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -549,6 +550,23 @@ def test_window_oracle_at_the_cap_runs_in_128_mib(tmp_path, s, periods):
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.endswith(f"window oracle ({periods} periods): accepted\n")
+
+
+def test_witness_at_the_search_cap_prints_in_128_mib():
+    # The search for 1x999999 peaks near 81 MB RSS and runs in 88 MiB of
+    # address space; a witness built as one string before printing took
+    # 129.5 MB and needed 136 MiB.  The printed bytes stay the same.
+    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "hamdec.cli", "buratti", "--k", "1000000",
+                           "--lengths", "1x999999"],
+                          env=env, preexec_fn=helpers.limit_address_space_128_mib,
+                          capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    expected = hashlib.sha256(b"found: [")
+    for i in range(0, 10**6, 1000):
+        expected.update(", ".join(map(str, range(i, i + 1000))).encode())
+        expected.update(b", " if i + 1000 < 10**6 else b"]  (nodes expanded: 999999)\n")
+    assert hashlib.sha256(done.stdout).hexdigest() == expected.hexdigest()
 
 
 class TestParserReuse:

@@ -373,6 +373,17 @@ class TestShortRefusals:
             "S+={500001, 500002, 500003, ..., 999999, 1000000, 1000001} (500001 values) needs "
             "a cyclic-lift certificate of period 1000002, more than the cap of 1000000")
 
+    def test_period_check_formats_only_refusals(self, monkeypatch):
+        # Each constructor that names its set by ``format_ints`` checks its
+        # period on every call; only a refusal may pay for the text.
+        def refuse(*args):
+            raise AssertionError("format_ints called without a refusal")
+
+        monkeypatch.setattr(constructions, "format_ints", refuse)
+        certs = [construct_4valent(1, 3), construct_consecutive(5), construct_one_two_c(6),
+                 construct_with_family(ConnectionSet([1, 3, 5]))[1]]
+        assert all(verify_certificate(cert).accepted for cert in certs)
+
     def test_lift_with_a_repeated_magnitude(self):
         a_list = [*range(1, 10**6), 1]
         with pytest.raises(ValueError) as exc:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 import hamdec
-from hamdec import model
+from hamdec import model, verifier
 from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
@@ -235,6 +235,66 @@ def test_window_oracle_matches_reference(case):
     cert, periods = case
     assert oracle_outcome(window_oracle, cert, periods) == \
         oracle_outcome(helpers.reference_window_oracle, cert, periods)
+
+
+# Starters whose ends lie |m| >= 2 periods apart, so that each path is |m|
+# chains of translates: two disconnected chains; three chains accepted at 3
+# periods, where the core meets translates of one chain only; a span of 12,
+# above the 9 of a 3-period slab, which leaves no connectivity core; and two
+# chains at 3 periods of which only the last translate to touch the core
+# lies on the second.
+SEVERAL_CHAINS = [((1, 3), 2, (0, 1, 4), (0,)),
+                  ((3,), 2, (0, 3, 6), (0,)),
+                  ((4,), 3, (0, 4, 8, 12), (0,)),
+                  ((1, 3, 5), 4, (0, -3, 2, 7, 8), (0,))]
+
+
+def test_window_oracle_chain_check_matches_reference():
+    # A starter with no edge longer than max(S+) gets acyclicity and
+    # connectivity from its ends; one with a longer edge keeps the
+    # union-find.  Each branch is counted past the degree check, so that the
+    # comparison cannot pass vacuously.
+    rng = random.Random(19)
+    certs = helpers.random_certificates(600, seed=19) + helpers.walk_certificates(600, seed=19)
+    for cert in ORACLE_BASES:
+        certs += [cert, *helpers.mutate(cert, rng)]
+    certs += [DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter), offsets)
+              for s_plus, period, starter, offsets in SEVERAL_CHAINS]
+    certs.append(helpers.window_reproducers()["disconnected"])
+    seen = {"chains accept": 0, "chains disconnected": 0, "empty core": 0, "union-find": 0}
+    for cert in certs:
+        n, max_s = cert.period, cert.connection_set.s_plus[-1]
+        vs = cert.starter.vertices
+        chains = max(abs(v - u) for u, v in cert.starter.edges()) <= max_s
+        for periods in (3, 4, 5, 8):
+            outcome = oracle_outcome(window_oracle, cert, periods)
+            assert outcome == oracle_outcome(helpers.reference_window_oracle, cert, periods)
+            if outcome[0] == "WindowTooSmall" or (outcome[1] or "").startswith("vertex "):
+                continue
+            if not chains:
+                seen["union-find"] += 1
+                continue
+            if outcome == (True, None):
+                seen["chains accept"] += 1
+            if outcome == (False, "path is disconnected inside the window"):
+                seen["chains disconnected"] += 1
+            if min((periods - 1) * n - max_s, periods * n - (max(vs) - min(vs))) < 0:
+                seen["empty core"] += 1
+    assert all(seen.values()), seen
+
+
+def test_window_oracle_chain_invariant_raises(monkeypatch):
+    # Degree 2 at every vertex puts the starter's ends a multiple of the
+    # period apart.  A slab that says otherwise is a library bug, raised, not
+    # asserted, so that ``python -O`` keeps it: here the slab of a valid
+    # certificate stands in for that of a starter cut short.
+    valid = construct_4valent(1, 3)
+    cut = DecompositionCertificate(valid.connection_set, valid.period,
+                                   FinitePath(valid.starter.vertices[:-1]), valid.offsets)
+    monkeypatch.setattr(verifier, "materialize_edges",
+                        lambda cert, lo, hi: model.materialize_edges(valid, lo, hi))
+    with pytest.raises(AssertionError, match="no multiple of the period apart"):
+        window_oracle(cut, 3)
 
 
 @pytest.mark.parametrize("s_plus, period, starter, offsets, failure", [
