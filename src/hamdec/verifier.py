@@ -3,16 +3,15 @@
 ``verify_certificate`` reduces the infinite claim to finitely many exact
 conditions on the starter path and the offsets.  ``window_oracle`` is the
 independent cross-check: it materializes a finite slab of the infinite graph
-and verifies degrees, acyclicity, connectivity and the edge partition
-directly.  They are meant to agree, but do not always: the oracle checks
-connectivity only where a whole starter translate fits in the slab, so on a
-long starter it can accept paths that fall apart, which the exact verifier
-refuses.
+and verifies directly that every edge used is an edge of the graph, then
+degrees, acyclicity, connectivity and the edge partition.  They are meant to
+agree, but do not always: the oracle checks connectivity only where a whole
+starter translate fits in the slab, so on a long starter it can accept
+paths that fall apart, which the exact verifier refuses.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from itertools import filterfalse, islice
 
 from .admissibility import analyze
@@ -163,22 +162,22 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     """Brute-force check on the finite slab [-periods*n, periods*n].
 
     Materializes every Hamilton path restricted to the slab, as one progression
-    of translates per starter edge and offset, and checks, inside a core
-    sub-window where no boundary effect can bite, degree exactly 2 and a
-    single connected piece per path.  Over the whole slab it checks that no
-    path has a cycle, pairwise edge disjointness, that every graph edge is
-    covered, and that every edge used is an edge of the graph.  Degrees are
-    counted one byte per vertex on the first (edges + 1) vertices of the
-    core, each progression's endpoints as one extended slice of step n.
-    Acyclicity and connectivity come from the starter's ends (below), or from
-    a union-find over every edge of the slab when the starter has an edge
-    longer than ``max_s``.  The last three checks keep, per edge length
-    ``d``, the set of lower endpoints ``u`` of the edges ``(u, u + d)`` used
-    so far, walking each progression once.
+    of translates per starter edge and offset, and checks, in this order:
+    that every edge used is an edge of the graph; inside a core sub-window
+    where no boundary effect can bite, degree exactly 2 per path; that no
+    path has a cycle and that the core lies on one piece of it; and over
+    the whole slab, pairwise edge disjointness and that every graph edge is
+    covered.  A length outside S+ is refused first, from each progression's
+    start, so it is named even when the slab cannot hold it, and no later
+    check sees an edge longer than ``max_s = max(S+)``.  Degrees are counted
+    one byte per vertex on the first (edges + 1) vertices of the core, each
+    progression's endpoints as one extended slice of step n.  The last two
+    checks keep, per length ``d`` in S+, the set of lower endpoints ``u`` of
+    the edges ``(u, u + d)`` used so far, walking each progression once.
 
-    Acyclicity and connectivity are exact from the starter's ends when it
-    has no edge longer than ``max_s = max(S+)``.  Each path ``H`` is the
-    union of the translates ``T_i = starter + i n + o``, i in Z.
+    Acyclicity and connectivity are exact from the starter's ends.  Each
+    path ``H`` is the union of the translates ``T_i = starter + i n + o``,
+    i in Z.
 
     * Every vertex has degree 2.  The degree check has passed, and every
       core vertex keeps all its true neighbours inside the slab, so its
@@ -191,17 +190,12 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     * So there is no cycle.  The first end of ``T_i`` is then the last end
       of some ``T_k``, k != i, which forces ``last - first = m n`` with
       m != 0, and ``T_i`` ends where ``T_{i+m}`` starts.  ``H`` is |m|
-      infinite chains, one per class of i mod |m|, with no finite cycle;
-      the union-find could never report one here.
+      infinite chains, one per class of i mod |m|, with no finite cycle.
     * Connectivity.  A translate that touches ``[-conn_hi, conn_hi]`` lies
       wholly inside the slab, as ``conn_hi <= w_hi - span``, and the
       translates wholly inside the slab form an interval of i.  So the core
       is on one piece iff the indices of the translates touching it share
       one class mod |m|, which always holds for |m| = 1.
-
-    A starter with an edge longer than ``max_s`` uses a length outside S+,
-    which the exact verifier refuses as ``ForeignEdgeLength``; the
-    union-find keeps this oracle's messages for it unchanged.
 
     Coverage is exact at every window the oracle accepts.  Every used edge
     with both ends in the slab is materialized, so a graph edge of the slab
@@ -226,6 +220,17 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
 
     paths = materialize_edges(cert, w_lo, w_hi)
 
+    # Every used length is in S+: the smallest edge (u, u + d) with d outside
+    # S+ is named, u the lowest lower endpoint >= w_lo of d's progressions.
+    # A progression's start is that endpoint even when the slab cannot hold
+    # d, so a length is refused however long it is.  ``used`` holds, per
+    # length in S+, the lower endpoints seen so far (below).
+    used: dict[int, set[int]] = {d: set() for d in s_plus}
+    foreign = [(r.start, d) for progs in paths for r, d in progs if d not in used]
+    if foreign:
+        u, d = min(foreign)
+        return WindowCheck(False, f"edge {(u, u + d)} is not an edge of the graph")
+
     # Degree 2 at every core vertex, per path.  Core vertices keep all their
     # true neighbours inside the slab, so slab degree equals true degree.  The
     # first core vertex of another degree lies among the first (edges + 1)
@@ -233,18 +238,17 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # take more than the path's 2 * edges endpoints.  So the counts cover only
     # those, one byte each from ``core_lo``.  A progression's lower endpoints,
     # then its upper ones, are an extended slice of step n: a start left of
-    # the array moves to its first index inside, and a stop left of it leaves
-    # nothing to count.  A byte saturates at 255, so such a vertex is
-    # recounted over the progressions.
+    # the array moves to its first index inside, and the stop, at least
+    # w_hi - max_s + 1, is never left of it.  A byte saturates at 255, so
+    # such a vertex is recounted over the progressions.
     width = core_hi - core_lo + 1
     for progs in paths:
         deg = bytearray(min(width, sum([len(r) for r, _ in progs]) + 1))
         for r, d in progs:
             for shift in (-core_lo, d - core_lo):
                 a, b = r.start + shift, r.stop + shift
-                if b > 0:
-                    i = a % n if a < 0 else a
-                    deg[i:b:n] = deg[i:b:n].translate(_INC)
+                i = a % n if a < 0 else a
+                deg[i:b:n] = deg[i:b:n].translate(_INC)
         i = len(deg) - len(deg.lstrip(b"\x02"))
         if i < len(deg):
             x = core_lo + i
@@ -255,51 +259,28 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # piece.  Any translate touching the connectivity core must fit in the
     # slab entirely, so the core shrinks with the starter's span; a starter
     # spanning more than the slab leaves nothing to check and the condition
-    # holds vacuously.  With no edge longer than max_s the translates chain
-    # end to end (see the docstring): there is no cycle, and the core is on
-    # one piece iff the translates touching it share one class of i mod |m|.
-    # T_i touches it iff a starter vertex lies in [-conn_hi, conn_hi] - i n - o,
-    # which one bisect of the sorted vertices decides.
+    # holds vacuously.  The translates chain end to end (see the docstring):
+    # there is no cycle, and the core is on one piece iff the translates
+    # touching it share one class of i mod |m|.  T_i touches it iff a starter
+    # vertex lies in [-conn_hi, conn_hi] - i n - o, which one bisect of the
+    # sorted vertices decides.
     vs = cert.starter.vertices
     span = max(vs) - min(vs)
     conn_hi = min(core_hi, w_hi - span)
-    if max(d for _, d in paths[0]) <= max_s:
-        m, rest = divmod(abs(vs[-1] - vs[0]), n)
-        if rest:
-            raise AssertionError(
-                "degree 2 everywhere, yet the starter's ends are no multiple of the period apart")
-        if m > 1 and conn_hi >= 0:
-            ordered = sorted(vs)
-            for o in cert.offsets:
-                classes = set()
-                for i in range(-((conn_hi + o + ordered[-1]) // n),
-                               (conn_hi - o - ordered[0]) // n + 1):
-                    j = bisect_left(ordered, -conn_hi - i * n - o)
-                    if j < len(ordered) and ordered[j] <= conn_hi - i * n - o:
-                        classes.add(i % m)
-                if len(classes) > 1:
-                    return WindowCheck(False, "path is disconnected inside the window")
-    else:
-        # An edge longer than max_s: union-find with path halving over every
-        # edge of the slab, on x - w_lo.
-        for progs in paths:
-            parent = list(range(w_hi - w_lo + 1))
-            for r, d in progs:
-                for u in range(r.start - w_lo, r.stop - w_lo, n):
-                    v = u + d
-                    while parent[u] != u:
-                        parent[u] = u = parent[parent[u]]
-                    while parent[v] != v:
-                        parent[v] = v = parent[parent[v]]
-                    if u == v:
-                        return WindowCheck(False, "cycle inside the window")
-                    parent[u] = v
-            roots = set()
-            for x in range(-conn_hi - w_lo, conn_hi - w_lo + 1):
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                roots.add(x)
-            if len(roots) > 1:
+    m, rest = divmod(abs(vs[-1] - vs[0]), n)
+    if rest:
+        raise AssertionError(
+            "degree 2 everywhere, yet the starter's ends are no multiple of the period apart")
+    if m > 1 and conn_hi >= 0:
+        ordered = sorted(vs)
+        for o in cert.offsets:
+            classes = set()
+            for i in range(-((conn_hi + o + ordered[-1]) // n),
+                           (conn_hi - o - ordered[0]) // n + 1):
+                j = bisect_left(ordered, -conn_hi - i * n - o)
+                if j < len(ordered) and ordered[j] <= conn_hi - i * n - o:
+                    classes.add(i % m)
+            if len(classes) > 1:
                 return WindowCheck(False, "path is disconnected inside the window")
 
     # Pairwise edge-disjoint, and every graph edge inside the slab is used
@@ -311,10 +292,7 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # slab has w_hi - w_lo - d + 1 edges of length d, and ``used[d]`` holds
     # only those, so a length is covered iff it holds that many; only a
     # length short of it is scanned for its first uncovered edge, and of
-    # these the smallest edge comes first.  Last,
-    # a used length outside S+ gives no edge of the graph: the smallest used
-    # edge of such a length is named.
-    used: dict[int, set[int]] = defaultdict(set)
+    # these the smallest edge comes first.
     for k, progs in enumerate(paths):
         for r, d in progs:
             lower = used[d]
@@ -329,9 +307,5 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     if missing:
         u, d = min(missing)
         return WindowCheck(False, f"edge {(u, u + d)} not covered")
-    foreign = [(min(used[d]), d) for d in used.keys() - s_plus if used[d]]
-    if foreign:
-        u, d = min(foreign)
-        return WindowCheck(False, f"edge {(u, u + d)} is not an edge of the graph")
 
     return WindowCheck(True)

@@ -6,7 +6,9 @@ of ``constructions.txt``, ``oracle.txt`` and ``cli.txt`` is
 ``helpers.golden_oracle_cases`` and ``helpers.golden_cli_cases`` for the
 cases, and ``helpers.golden_digest``, ``helpers.golden_oracle_digest`` and
 ``helpers.golden_cli_digest`` for what is hashed.  Run it only when an
-output changes on purpose, and list the changed case ids in CHANGES.md.
+output changes on purpose, and list the changed case ids in CHANGES.md:
+for each file it prints how many case ids changed digest, are new or are
+gone, and the first few of each.
 """
 import sys
 import tempfile
@@ -18,9 +20,21 @@ sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 import helpers  # noqa: E402
 
 
+SHOWN = 5
+
+
 def write(path: Path, lines: list[str]) -> None:
+    before = dict(map(str.split, path.read_text(encoding="utf-8").splitlines())) \
+        if path.exists() else {}
+    after = dict(map(str.split, lines))
     path.write_text("".join(lines), encoding="utf-8")
     print(f"wrote {len(lines)} cases to {path}")
+    for kind, cases in (("changed", [c for c in after if c in before and before[c] != after[c]]),
+                        ("new", [c for c in after if c not in before]),
+                        ("removed", [c for c in before if c not in after])):
+        if cases:
+            more = f" ... and {len(cases) - SHOWN} more" if len(cases) > SHOWN else ""
+            print(f"  {len(cases)} {kind}: {' '.join(cases[:SHOWN])}{more}")
 
 
 def main() -> None:

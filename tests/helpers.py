@@ -317,11 +317,13 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
 
     Brute-force check on the finite slab [-periods*n, periods*n].
 
-    Materializes every Hamilton path restricted to the slab and checks, inside
-    a core sub-window where no boundary effect can bite, degree exactly 2 and
-    a single connected piece per path.  Over the whole slab it checks that no
-    path has a cycle, pairwise edge disjointness, that every graph edge is
-    covered, and that every edge used is an edge of the graph.
+    First checks, from the starter's edges, that every edge used is an edge
+    of the graph, so that a length the slab cannot hold is refused too.  Then
+    materializes every Hamilton path restricted to the slab and checks,
+    inside a core sub-window where no boundary effect can bite, degree
+    exactly 2 and a single connected piece per path.  Over the whole slab it
+    checks that no path has a cycle, pairwise edge disjointness and that
+    every graph edge is covered.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -336,6 +338,19 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
     w_lo = -w_hi
     core_hi = (periods - 1) * n - max_s
     core_lo = -core_hi
+
+    # Every used length is in S+.  Per offset and starter edge (u, u + d)
+    # with d outside S+, its translates' lowest lower endpoint >= w_lo is a
+    # candidate, whether or not the slab holds the edge; the smallest
+    # candidate edge is named.
+    foreign = []
+    for o in cert.offsets:
+        for u, v in cert.starter.edges():
+            if v - u not in s_plus:
+                lowest = u + o + n * -((u + o - w_lo) // n)  # ceil((w_lo - u - o) / n)
+                foreign.append((lowest, lowest + v - u))
+    if foreign:
+        return WindowCheck(False, f"edge {min(foreign)} is not an edge of the graph")
 
     paths = [reference_materialize_edges(cert, o, w_lo, w_hi) for o in cert.offsets]
 
@@ -380,9 +395,6 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
         for d in s_plus:
             if x + d <= w_hi and (x, x + d) not in seen:
                 return WindowCheck(False, f"edge ({x}, {x + d}) not covered")
-    foreign = [(u, v) for u, v in seen if v - u not in s_plus]
-    if foreign:
-        return WindowCheck(False, f"edge {min(foreign)} is not an edge of the graph")
 
     return WindowCheck(True)
 
@@ -591,15 +603,16 @@ def window_reproducers() -> dict[str, DecompositionCertificate]:
     """Damaged certificates that the window oracle once accepted while the exact check refused them.
 
     One per gap: a used length outside S+, paths that fall apart beyond a
-    long starter's reach, and a length whose edges the core was too narrow
-    to check.
+    long starter's reach, a length whose edges the core was too narrow to
+    check, and a length outside S+ too long for the slab to hold.
     """
     return {name: DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter),
                                            offsets)
             for name, (s_plus, period, starter, offsets) in (
                 ("foreign-edge", ((1,), 2, (0, -1, 2), (0, 1))),
                 ("disconnected", ((1, 5), 4, (0, -1, -2, -7, -12), (0, 2))),
-                ("uncovered-length", ((1, 3), 2, (0, 1, 2), (1,))))}
+                ("uncovered-length", ((1, 3), 2, (0, 1, 2), (1,))),
+                ("long-edge", ((1,), 1, (0, 1, 100), (0,))))}
 
 
 def walk_certificates(count: int, seed: int) -> list[DecompositionCertificate]:
@@ -695,8 +708,9 @@ def golden_cli_cases(root: Path):
     Writes the certificate files that ``verify`` and ``figure`` read under
     ``root`` first, and names ``--out`` files under it.  The ``verify`` cases
     run at 3, 5 and ``auto`` periods on one certificate of each family, on
-    its ``mutate`` mutants (seed 0) and on three damaged certificates that
-    the window oracle accepted while the exact check refused them.
+    its ``mutate`` mutants (seed 0) and on the ``window_reproducers``,
+    damaged certificates that the window oracle accepted while the exact
+    check refused them.
     """
     rng = random.Random(0)
     certs = {}

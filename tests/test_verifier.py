@@ -250,10 +250,10 @@ SEVERAL_CHAINS = [((1, 3), 2, (0, 1, 4), (0,)),
 
 
 def test_window_oracle_chain_check_matches_reference():
-    # A starter with no edge longer than max(S+) gets acyclicity and
-    # connectivity from its ends; one with a longer edge keeps the
-    # union-find.  Each branch is counted past the degree check, so that the
-    # comparison cannot pass vacuously.
+    # Acyclicity and connectivity come from the starter's ends, once a
+    # starter with a length outside S+ has been refused.  Each branch is
+    # counted, past the degree check, so that the comparison cannot pass
+    # vacuously.
     rng = random.Random(19)
     certs = helpers.random_certificates(600, seed=19) + helpers.walk_certificates(600, seed=19)
     for cert in ORACLE_BASES:
@@ -261,18 +261,21 @@ def test_window_oracle_chain_check_matches_reference():
     certs += [DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter), offsets)
               for s_plus, period, starter, offsets in SEVERAL_CHAINS]
     certs.append(helpers.window_reproducers()["disconnected"])
-    seen = {"chains accept": 0, "chains disconnected": 0, "empty core": 0, "union-find": 0}
+    seen = {"chains accept": 0, "chains disconnected": 0, "empty core": 0, "foreign refused": 0}
     for cert in certs:
         n, max_s = cert.period, cert.connection_set.s_plus[-1]
         vs = cert.starter.vertices
-        chains = max(abs(v - u) for u, v in cert.starter.edges()) <= max_s
+        foreign = any(v - u not in cert.connection_set.s_plus for u, v in cert.starter.edges())
         for periods in (3, 4, 5, 8):
             outcome = oracle_outcome(window_oracle, cert, periods)
             assert outcome == oracle_outcome(helpers.reference_window_oracle, cert, periods)
-            if outcome[0] == "WindowTooSmall" or (outcome[1] or "").startswith("vertex "):
+            if outcome[0] == "WindowTooSmall":
                 continue
-            if not chains:
-                seen["union-find"] += 1
+            if foreign:
+                assert outcome[1].endswith("is not an edge of the graph")
+                seen["foreign refused"] += 1
+                continue
+            if (outcome[1] or "").startswith("vertex "):
                 continue
             if outcome == (True, None):
                 seen["chains accept"] += 1
@@ -299,17 +302,17 @@ def test_window_oracle_chain_invariant_raises(monkeypatch):
 
 @pytest.mark.parametrize("s_plus, period, starter, offsets, failure", [
     ((3,), 2, (1, 4), (0, 1), "vertex -1 has degree 1"),
-    ((1,), 1, (2, 3, -2), (0,), "cycle inside the window"),
-    ((1,), 1, (1, 3), (0,), "path is disconnected inside the window"),
-    ((2,), 2, (0, -1, -2), (0, 1), "edge (-6, -5) used by two paths"),
-    ((1, 3), 2, (2, -1, 4), (1,), "edge (-6, -5) not covered"),
+    # A length outside S+ is refused before any other check: in these rows,
+    # before a cycle, a disconnection, edges used twice and uncovered edges.
+    ((1,), 1, (2, 3, -2), (0,), "edge (-3, 2) is not an edge of the graph"),
+    ((1,), 1, (1, 3), (0,), "edge (-3, -1) is not an edge of the graph"),
+    ((2,), 2, (0, -1, -2), (0, 1), "edge (-6, -5) is not an edge of the graph"),
+    ((1, 3), 2, (2, -1, 4), (1,), "edge (-6, -1) is not an edge of the graph"),
     # A swapped-vertex mutant of construct_4valent(5, 9) whose paths share an
-    # edge of length 10 > max(S+): edge keys must span the starter's lengths.
+    # edge of length 10 > max(S+).
     ((5, 9), 18, (0, 5, 14, 19, 10, 15, 6, 11, 21, 7, 16, 2, 12, 17, 8, 13, 4, 9, 18), (0, 9),
-     "edge (-52, -42) used by two paths"),
-    # The first uncovered edges are (-8, -7) and (-9, -6): the smallest x
-    # wins, though its length is the larger.
-    ((1, 3), 3, (-3, -2, 2, 0), (0,), "edge (-9, -6) not covered"),
+     "edge (-52, -42) is not an edge of the graph"),
+    ((1, 3), 3, (-3, -2, 2, 0), (0,), "edge (-9, -7) is not an edge of the graph"),
     # The second path's first progression (length 1) is disjoint from the
     # first path; its second (length 3) is not.
     ((1, 3), 6, (0, 1, 4, 5, 2, 3, 6), (0, 1), "edge (-16, -13) used by two paths"),
@@ -317,8 +320,14 @@ def test_window_oracle_chain_invariant_raises(monkeypatch):
     # and again not in its first progression.
     ((1, 2, 3, 4), 8, (0, -1, 1, 5, 2, 3, 6, 4, 8), (0, 2, 7), "edge (-18, -16) used by two paths"),
     # A foreign edge (-3, 3) whose lower endpoint lies left of the core and
-    # whose upper one right of it: neither end counts at the core's vertices.
-    ((1,), 1, (0, 6), (0,), "vertex -1 has degree 0"),
+    # whose upper one right of it.  Counted from the slab, vertex -1 had
+    # degree 0, though its true degree is 2.
+    ((1,), 1, (0, 6), (0,), "edge (-3, 3) is not an edge of the graph"),
+    # Two chains of translates, (0, 1, 4) + 4i and (2, 3, 6) + 4i.
+    ((1, 3), 2, (0, 1, 4), (0,), "path is disconnected inside the window"),
+    # The first uncovered edges are (-5, -4) and (-6, -4): the smallest x
+    # wins, though its length is the larger.
+    ((1, 2, 3), 2, (0, 3, 2), (0,), "edge (-6, -4) not covered"),
 ])
 def test_window_failure_messages(s_plus, period, starter, offsets, failure):
     cert = DecompositionCertificate(ConnectionSet(s_plus), period, FinitePath(starter), offsets)
@@ -337,6 +346,21 @@ def test_window_oracle_refuses_a_length_outside_s_plus(periods):
     assert helpers.reference_window_oracle(cert, periods) == failure
 
 
+def lengthen_one_step(cert, rng):
+    """``cert`` with one starter step longer than a slab of 5 periods.
+
+    The vertices after the step move away from the vertex before it by more
+    than the starter's span plus 10 periods, so they stay distinct from the
+    others, the step's length is outside S+, and no translate of it fits in
+    a slab of 3 or 5 periods.
+    """
+    vs, n = cert.starter.vertices, cert.period
+    j = rng.randrange(1, len(vs))
+    shift = max(vs) - min(vs) + 10 * n + 1 + rng.randrange(n)
+    longer = vs[:j] + tuple(v + (shift if vs[j] > vs[j - 1] else -shift) for v in vs[j:])
+    return DecompositionCertificate(cert.connection_set, n, FinitePath(longer), cert.offsets)
+
+
 def test_window_oracle_accepts_no_length_outside_s_plus():
     # Every starter edge, of length at most 2n - 1, has a translate inside a
     # slab of 3 or 5 periods, so a certificate the oracle accepts uses only
@@ -346,7 +370,8 @@ def test_window_oracle_accepts_no_length_outside_s_plus():
     # class (d, r) with d in S+: with coverage checked on the core alone, 6
     # of these outcomes were accepted with a LengthResidueGap.
     accepted = 0
-    for cert in helpers.walk_certificates(2000, seed=7):
+    walks = helpers.walk_certificates(2000, seed=7)
+    for cert in walks:
         for periods in (3, 5):
             outcome = oracle_outcome(window_oracle, cert, periods)
             assert outcome == oracle_outcome(helpers.reference_window_oracle, cert, periods)
@@ -356,6 +381,36 @@ def test_window_oracle_accepts_no_length_outside_s_plus():
                 assert "ForeignEdgeLength" not in failures, cert
                 assert "LengthResidueGap" not in failures, cert
     assert accepted > 300  # the property is not vacuous
+
+    # A step lengthened past the slab has no translate inside it, so it is
+    # refused from the starter.  While the oracle read lengths from the slab
+    # alone, it accepted 7 of these outcomes: there the slab's degrees and
+    # coverage looked whole without the lengthened step.
+    rng = random.Random(7)
+    refused = 0
+    for cert in walks + helpers.random_certificates(2000, seed=7):
+        cert = lengthen_one_step(cert, rng)
+        assert "ForeignEdgeLength" in verify_certificate(cert).failures
+        for periods in (3, 5):
+            outcome = oracle_outcome(window_oracle, cert, periods)
+            assert outcome == oracle_outcome(helpers.reference_window_oracle, cert, periods)
+            if outcome[0] != "WindowTooSmall":
+                refused += 1
+                assert outcome[0] is False and outcome[1].endswith("is not an edge of the graph"), \
+                    (cert, periods, outcome)
+    assert refused > 5000
+
+
+@pytest.mark.parametrize("periods", [3, 5, 8, 20, 40])
+def test_window_oracle_refuses_a_length_too_long_for_the_slab(periods):
+    # Period 1: the length-1 translates give every vertex degree 2 and cover
+    # every edge, and the length-99 ones, which no slab of up to 49 periods
+    # holds, double every degree.  Both oracles once accepted it.
+    cert = helpers.window_reproducers()["long-edge"]
+    assert "ForeignEdgeLength" in verify_certificate(cert).failures
+    failure = WindowCheck(False, f"edge ({-periods}, {99 - periods}) is not an edge of the graph")
+    assert window_oracle(cert, periods) == failure
+    assert helpers.reference_window_oracle(cert, periods) == failure
 
 
 @pytest.mark.parametrize("periods", [3, 5, 8])
