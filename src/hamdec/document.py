@@ -20,8 +20,8 @@ def to_json(cert: DecompositionCertificate, provenance: str = "") -> str:
     The payload holds ``schema_version``, ``connection_set``, ``period``,
     ``starter_vertices``, ``offsets`` and ``provenance``, in that order, the
     tuples as lists.  ``indent`` selects the pure-Python encoder, so each list
-    is written by the C encoder instead, with the indented line break as its
-    item separator; that is exact for lists of ints.
+    of ints is joined directly instead, with the indented line break as its
+    item separator.
     """
     return (f'{{\n  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
             f'  "connection_set": {_json_list(cert.connection_set.s_plus)},\n'
@@ -64,8 +64,11 @@ def from_json(text: str) -> tuple[str, DecompositionCertificate]:
 
 
 def _json_list(values: tuple[int, ...]) -> str:
-    """A non-empty tuple of ints as ``json.dumps`` writes it at indent 2, one level deep."""
-    return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+    """A non-empty tuple of ints as ``json.dumps`` writes it at indent 2, one level deep.
+
+    json writes an int with ``int.__repr__``, so joining those is exact.
+    """
+    return "[\n    " + ",\n    ".join(map(int.__repr__, values)) + "\n  ]"
 
 
 def _int_list(value) -> tuple[int, ...]:

@@ -227,10 +227,14 @@ class DecompositionCertificate(Value):
         offs = tuple(sorted(offsets))
         if not offs:
             raise ValueError("at least one offset is required")
-        for o in offs:
-            _check_vertex(o)
-            if not 0 <= o < period:
-                raise ValueError(f"offset {o} outside [0, {period})")
+        # As in ``_check_vertices``: a bulk test accepts plain ints in range,
+        # and otherwise the first offender in sorted order raises.
+        if not (set(map(type, offs)) == {int}
+                and 0 <= offs[0] and offs[-1] < period and offs[-1] <= INT64_MAX):
+            for o in offs:
+                _check_vertex(o)
+                if not 0 <= o < period:
+                    raise ValueError(f"offset {o} outside [0, {period})")
         set_field(self, "connection_set", connection_set)
         set_field(self, "period", period)
         set_field(self, "starter", starter)

@@ -43,9 +43,8 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
 
     Accepted iff all of:
 
-    1. the starter is a path with exactly ``period`` edges running between
-       some multiple of the period and that value plus the period
-       (canonically 0 and period);
+    1. the starter is a path with exactly ``period`` edges whose ends are
+       ``period`` apart, anywhere (the tool writes 0 and period);
     2. the starter hits each residue class mod period exactly once, except
        the endpoint class exactly twice, which makes the starter's
        period-translates chain into a single two-way-infinite Hamilton path.
@@ -59,7 +58,14 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
        where m is the largest common divisor of the period and the number
        of distinct offsets such that the offsets are a union of classes
        mod g: the residues tile Z_period iff they tile Z_g with the offsets
-       taken mod g (g = period for offsets without such structure);
+       taken mod g (g = period for offsets without such structure).  All
+       lengths are checked at once, in one set of keys where the i-th
+       length of S+ owns the block [i g, (i + 1) g).  For k offsets and a
+       length with e edges, its cells number at most g, with equality iff
+       they cover Z_g, and at most e k g / period, with equality iff the
+       translates are disjoint and the offsets distinct.  Summed over S+,
+       there is an overlap iff cells * period / g < edges * k, and a gap
+       iff cells < |S+| * g;
     5. the offsets are distinct mod period.
 
     For certificates of this shape the five conditions are sound and
@@ -71,69 +77,81 @@ def verify_certificate(cert: DecompositionCertificate) -> VerificationReport:
     failures: list[str] = []
 
     # (1) edge count and endpoints.  The implied decomposition is a union of
-    # edge sets, so it is unchanged by reversing the starter or translating
-    # it by a multiple of the period; endpoints are an unordered pair
-    # {x, x + period} with x on the period's zero class.
+    # edge sets, so it is unchanged by reversing the starter.  The endpoints
+    # are an unordered pair {x, x + period} for any x: the translates chain
+    # end to end wherever the starter starts, and conditions 2-4 read its
+    # actual residues.
     if starter.edge_count != n:
         failures.append(PATH_BROKEN)
-    lo, hi = min(starter.first, starter.last), max(starter.first, starter.last)
-    if hi - lo != n or lo % n != 0:
+    if abs(starter.last - starter.first) != n:
         failures.append(ENDPOINT_MISMATCH)
 
     # (2) residue coverage of the starter's vertices: all but the last hit
-    # the n classes once each, and the last falls on the first one's class.
+    # the n classes once each, one byte mark per class, and the last falls
+    # on the first one's class.  The marks are made only once the vertex
+    # count bounds n.
     vs = starter.vertices
-    if not (len(vs) == n + 1 and vs[-1] % n == vs[0] % n
-            and len({v % n for v in vs[:-1]}) == n):
+    covered = len(vs) == n + 1 and vs[-1] % n == vs[0] % n
+    if covered:
+        marks = bytearray(n)
+        for v in islice(vs, n):
+            marks[v % n] = 1
+        covered = 0 not in marks
+    if not covered:
         failures.append(RESIDUE_COVERAGE)
 
-    # (3) + (4) edge lengths and per-length residue tiling; an edge's residue
-    # is that of its smaller endpoint.
-    tables: dict[int, list[int]] = {d: [] for d in s_plus}
-    foreign = False
-    for u, v in zip(vs, vs[1:]):
-        if u > v:
-            u, v = v, u
-        table = tables.get(v - u)
-        if table is None:
-            foreign = True
-        else:
-            table.append(u % n)
-    if foreign:
-        failures.append(FOREIGN_EDGE_LENGTH)
-
     # The distinct offsets O are a union of classes mod g, where g = n/m for
-    # the largest common divisor m of |O| and n that allows it, so A + O is
-    # the preimage in Z_n of the cells A + (O mod g) of Z_g and has
-    # |cells| * n/g residues.  The work is bounded by the starter and the
-    # offsets, never by the period.
+    # the largest common divisor m of |O| and n that allows it, so the
+    # residues A_d + O of a length d are the preimage in Z_n of the cells
+    # A_d + (O mod g) of Z_g, |cells_d| * n/g of them.  The work is bounded
+    # by the starter and the offsets, never by the period.
     distinct = set(cert.offsets)
     g = next(n // m for m in range(len(distinct), 0, -1)
              if len(distinct) % m == 0 and n % m == 0
              and len({o % (n // m) for o in distinct}) * m == len(distinct))
-    classes = {o % g for o in distinct}
-    overlap = gap = False
-    for d in s_plus:
-        cells = {(r + o) % g for o in classes for r in tables[d]}
-        if len(tables[d]) * len(cert.offsets) > len(cells) * (n // g):
-            overlap = True
-        if len(cells) < g:
-            gap = True
-    if overlap:
+    classes = sorted({o % g for o in distinct})
+
+    # (3) + (4) edge lengths and the residue tiling of every length at once.
+    # An edge of length d = s_plus[i] with smaller endpoint u has the key
+    # i * g + u mod g, so each length owns a block of g keys, and every key
+    # stays below |S+| * g however long the lengths are.
+    base = {d: i * g for i, d in enumerate(s_plus)}
+    keys: list[int] = []
+    foreign = False
+    for u, v in zip(vs, vs[1:]):
+        if u > v:
+            u, v = v, u
+        b = base.get(v - u)
+        if b is None:
+            foreign = True
+        else:
+            keys.append(b + u % g)
+    if foreign:
+        failures.append(FOREIGN_EDGE_LENGTH)
+
+    # Shifting a length's cells A_d + (O mod g) by -min(classes) keeps their
+    # count, so the cells are the keys shifted within their blocks by
+    # c - min(classes), the first shift 0.  The two sums of the docstring
+    # decide overlap and gap.
+    cells = set(keys)
+    for c in classes[1:]:
+        s = c - classes[0]
+        cells.update([k + s - g if k % g >= g - s else k + s for k in keys])
+    if len(cells) * (n // g) < len(keys) * len(cert.offsets):
         failures.append(LENGTH_RESIDUE_OVERLAP)
-    if gap:
+    if len(cells) < len(s_plus) * g:
         failures.append(LENGTH_RESIDUE_GAP)
 
     # (5) offsets distinct (they are normalized into [0, period), so distinct
     # integers means distinct residues).
-    if len(set(cert.offsets)) != len(cert.offsets):
+    if len(distinct) != len(cert.offsets):
         failures.append(OFFSET_COLLISION)
 
     accepted = not failures
     # Library bugs, never reports, so raised under ``python -O`` as well: the
     # first is forced by condition (4), and the second would disprove a
     # necessary condition.
-    if accepted and not all(len(tables[d]) * len(cert.offsets) == n for d in s_plus):
+    if accepted and len(keys) * len(cert.offsets) != len(s_plus) * n:
         raise AssertionError("accepted certificate whose length residues do not fill Z_period")
     if accepted and not analyze(cert.connection_set).admissible:
         raise AssertionError("accepted certificate for a non-admissible connection set")

@@ -245,7 +245,7 @@ def reference_failures(cert: DecompositionCertificate) -> tuple[str, ...]:
     if len(vs) - 1 != n:
         failures.append("PathBroken")
     lo, hi = sorted((vs[0], vs[-1]))
-    if hi - lo != n or lo % n != 0:
+    if hi - lo != n:
         failures.append("EndpointMismatch")
     counts = Counter(v % n for v in vs)
     end = vs[0] % n

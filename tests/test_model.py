@@ -269,6 +269,46 @@ def test_bulk_vertex_check_matches_per_vertex(values):
     assert outcome(model._check_vertices, iter(values)) == outcome(per_vertex, values)
 
 
+def per_offset(offsets, period):
+    """The certificate's offset check one entry at a time, in sorted order: the reference."""
+    offs = tuple(sorted(offsets))
+    if not offs:
+        raise ValueError("at least one offset is required")
+    for o in offs:
+        model._check_vertex(o)
+        if not 0 <= o < period:
+            raise ValueError(f"offset {o} outside [0, {period})")
+    return offs
+
+
+def certificate_offsets(offsets, period):
+    return DecompositionCertificate(ConnectionSet([1]), period, FinitePath((0, 1)), offsets).offsets
+
+
+@pytest.mark.parametrize("offsets, period, expected", [
+    ((5, 1, 3), 6, ("ok", (1, 3, 5))),
+    ((Small.TWO, 0), 6, ("ok", (0, 2))),
+    ((model.INT64_MAX,), 2**64, ("ok", (model.INT64_MAX,))),
+    ((), 6, (ValueError, "at least one offset is required")),
+    ((-1, 3), 6, (ValueError, "offset -1 outside [0, 6)")),
+    ((0, 6), 6, (ValueError, "offset 6 outside [0, 6)")),
+    ((2.0, 3), 6, (TypeError, "vertex must be an int, got float")),
+    ((3, True), 6, (TypeError, "vertex must be an int, got bool")),
+    ((2**70,), 2**71, (VertexOverflow, f"vertex {2**70} outside the signed 64-bit range")),
+    ((3, 2**63), 2**64, (VertexOverflow, f"vertex {2**63} outside the signed 64-bit range")),
+    ((-5, 2**70), 6, (ValueError, "offset -5 outside [0, 6)")),
+    ((3, -2**70), 6, (VertexOverflow, f"vertex {-2**70} outside the signed 64-bit range")),
+])
+def test_offset_errors_match_per_offset_check(offsets, period, expected):
+    assert outcome(certificate_offsets, offsets, period) == expected
+    assert outcome(per_offset, offsets, period) == expected
+
+
+@given(mixed_sequences(), st.sampled_from([1, 6, model.INT64_MAX, 2**64]))
+def test_bulk_offset_check_matches_per_offset(values, period):
+    assert outcome(certificate_offsets, values, period) == outcome(per_offset, values, period)
+
+
 def reference_path(values):
     vs = per_vertex(values)
     if not vs:

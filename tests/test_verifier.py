@@ -1,3 +1,4 @@
+import collections
 import os
 import random
 import subprocess
@@ -64,9 +65,21 @@ class TestVerifyCertificate:
         assert "PathBroken" in verify_certificate(cert).failures
 
     def test_endpoint_mismatch(self):
+        # Ends 2n apart: every other condition holds, but the translates overlap.
         cert = DecompositionCertificate(
-            ConnectionSet([1, 3]), 6, FinitePath((1, 2, 5, 6, 3, 4, 7)), (0, 3))
-        assert "EndpointMismatch" in verify_certificate(cert).failures
+            ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 8, 9, 12)), (0, 3))
+        assert verify_certificate(cert).failures == ("EndpointMismatch",)
+
+    def test_shifted_starter_accepted(self):
+        # The ends need not lie on the zero class: shifting the starter keeps
+        # its translates chaining end to end, and the oracle agrees.
+        cert = construct(ConnectionSet([1, 2, 4]))
+        assert (cert.period, cert.starter.vertices, cert.offsets) == (3, (0, 1, -1, 3), (0, 1, 2))
+        shifted = DecompositionCertificate(
+            cert.connection_set, cert.period, helpers.translate(cert.starter, 1), cert.offsets)
+        assert verify_certificate(shifted) == verify_certificate(cert)
+        assert verify_certificate(shifted).accepted
+        assert window_oracle(shifted, smallest_window_periods(shifted)).accepted
 
     def test_residue_coverage(self):
         cert = DecompositionCertificate(
@@ -141,6 +154,40 @@ def verifier_mutants(draw):
 @settings(max_examples=400, deadline=None)
 def test_failures_match_reference(cert):
     assert verify_certificate(cert).failures == helpers.reference_failures(cert)
+
+
+def test_failures_match_reference_on_drawn_offsets():
+    """Random and walk starters under drawn offsets, against the direct count.
+
+    Each starter is checked with its own offsets, with some of them
+    repeated, with a union of cosets of a subgroup of Z_n (several classes
+    mod g when there are several cosets), and shifted by t with its offsets
+    shifted by -t.  Together these reach foreign lengths, lengths with no
+    edge and lengths with few edges in one certificate.
+    """
+    rng = random.Random(29)
+    kinds = collections.Counter()
+    for cert in helpers.random_certificates(700, seed=29) + helpers.walk_certificates(700, seed=29):
+        n, offsets = cert.period, cert.offsets
+        m = rng.choice([m for m in range(1, n + 1) if n % m == 0])
+        cosets = {(t + i * (n // m)) % n for t in rng.sample(range(n), rng.randint(1, min(n, 3)))
+                  for i in range(m)}
+        t = rng.randrange(1, n + 1)
+        for drawn in (
+                DecompositionCertificate(cert.connection_set, n, cert.starter,
+                                         offsets + tuple(rng.choices(offsets, k=rng.randint(1, 3)))),
+                DecompositionCertificate(cert.connection_set, n, cert.starter, cosets),
+                DecompositionCertificate(cert.connection_set, n, helpers.translate(cert.starter, t),
+                                         [(o - t) % n for o in offsets]),
+                cert):
+            failures = verify_certificate(drawn).failures
+            assert failures == helpers.reference_failures(drawn)
+            kinds.update(failures or ["accepted"])
+        if 1 < m < n and 1 < len(cosets) // m < n // m:
+            kinds["several classes mod g"] += 1
+    assert set(kinds) == {"PathBroken", "EndpointMismatch", "ResidueCoverage", "ForeignEdgeLength",
+                          "LengthResidueOverlap", "LengthResidueGap", "OffsetCollision",
+                          "accepted", "several classes mod g"}
 
 
 class TestWindowOracle:
