@@ -12,15 +12,12 @@ paths that fall apart, which the exact verifier refuses.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import filterfalse, islice
 
 from .admissibility import analyze
 from .model import DecompositionCertificate, Value, materialize_edges
 from .errors import WindowTooSmall
-
-# Adds 1 to each byte, saturating at 255: ``bytes.translate`` counts a
-# vertex along a whole progression at C speed.
-_INC = bytes(range(1, 256)) + b"\xff"
 
 PATH_BROKEN = "PathBroken"
 ENDPOINT_MISMATCH = "EndpointMismatch"
@@ -187,11 +184,20 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     the whole slab, pairwise edge disjointness and that every graph edge is
     covered.  A length outside S+ is refused first, from each progression's
     start, so it is named even when the slab cannot hold it, and no later
-    check sees an edge longer than ``max_s = max(S+)``.  Degrees are counted
-    one byte per vertex on the first (edges + 1) vertices of the core, each
-    progression's endpoints as one extended slice of step n.  The last two
-    checks keep, per length ``d`` in S+, the set of lower endpoints ``u`` of
-    the edges ``(u, u + d)`` used so far, walking each progression once.
+    check sees an edge longer than ``max_s = max(S+)``.
+
+    Degrees, disjointness and coverage take one step per progression, read
+    from its start and its length, however many edges it has.  This is
+    exact.  A progression ``(r, d)`` is every slab edge ``(u, u + d)`` with
+    ``u`` in one class mod n: its start lies in ``[w_lo, w_lo + n)``, and
+    its stop, ``w_hi - d + 1``, is fixed by d.  As d <= max_s,
+    ``core_lo >= w_lo + d`` and ``core_hi <= w_hi - d``, so its lower ends
+    and its upper ends alike cover their whole class across the core.  A
+    core vertex's slab degree is therefore the number of progression
+    endpoints ``r.start`` and ``r.start + d`` in its class mod n.  And as
+    the start and d fix the range, two progressions of one length share an
+    edge exactly when they have the same start, and the edge at that start
+    is the first they share.
 
     Acyclicity and connectivity are exact from the starter's ends.  Each
     path ``H`` is the union of the translates ``T_i = starter + i n + o``,
@@ -220,7 +226,10 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     is covered there if and only if its class (d, u mod n) is used by some
     path.  And ``periods * n >= 2 * max_s`` gives 2Pn - d >= 3Pn/2 >= n - 1
     for every d in S+, so ``range(w_lo, w_hi - d + 1)`` meets every class
-    mod n: the slab holds a translate of every graph edge.
+    mod n: the slab holds a translate of every graph edge.  A length is
+    then covered iff its progressions have n distinct starts, and else its
+    first uncovered edge starts at the first ``u`` of ``[w_lo, w_lo + n)``
+    that is no start.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -242,7 +251,7 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # S+ is named, u the lowest lower endpoint >= w_lo of d's progressions.
     # A progression's start is that endpoint even when the slab cannot hold
     # d, so a length is refused however long it is.  ``used`` holds, per
-    # length in S+, the lower endpoints seen so far (below).
+    # length in S+, the progression starts seen so far (below).
     used: dict[int, set[int]] = {d: set() for d in s_plus}
     foreign = [(r.start, d) for progs in paths for r, d in progs if d not in used]
     if foreign:
@@ -250,28 +259,20 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
         return WindowCheck(False, f"edge {(u, u + d)} is not an edge of the graph")
 
     # Degree 2 at every core vertex, per path.  Core vertices keep all their
-    # true neighbours inside the slab, so slab degree equals true degree.  The
-    # first core vertex of another degree lies among the first (edges + 1)
-    # core vertices, however large the period: degree 2 at all of them would
-    # take more than the path's 2 * edges endpoints.  So the counts cover only
-    # those, one byte each from ``core_lo``.  A progression's lower endpoints,
-    # then its upper ones, are an extended slice of step n: a start left of
-    # the array moves to its first index inside, and the stop, at least
-    # w_hi - max_s + 1, is never left of it.  A byte saturates at 255, so
-    # such a vertex is recounted over the progressions.
+    # true neighbours inside the slab, so slab degree equals true degree: the
+    # count of the progression endpoints in the vertex's class mod n.  The
+    # first core vertex of another degree lies among the first
+    # (progressions + 1) core vertices, however large the period: degree 2 at
+    # all of them would take more than the path's 2 * progressions endpoints,
+    # or, past n of them, every class at 2.  Only those are searched, and
+    # only once some class is not at 2.
     width = core_hi - core_lo + 1
     for progs in paths:
-        deg = bytearray(min(width, sum([len(r) for r, _ in progs]) + 1))
-        for r, d in progs:
-            for shift in (-core_lo, d - core_lo):
-                a, b = r.start + shift, r.stop + shift
-                i = a % n if a < 0 else a
-                deg[i:b:n] = deg[i:b:n].translate(_INC)
-        i = len(deg) - len(deg.lstrip(b"\x02"))
-        if i < len(deg):
-            x = core_lo + i
-            degree = deg[i] if deg[i] < 255 else sum((x in r) + (x - d in r) for r, d in progs)
-            return WindowCheck(False, f"vertex {x} has degree {degree}")
+        count = Counter([r.start % n for r, _ in progs] + [(r.start + d) % n for r, d in progs])
+        if len(count) < n or set(count.values()) != {2}:
+            x = next(x for x in range(core_lo, core_lo + min(width, len(progs) + 1))
+                     if count[x % n] != 2)
+            return WindowCheck(False, f"vertex {x} has degree {count[x % n]}")
 
     # Acyclic inside the slab, and the core vertices lie on one connected
     # piece.  Any translate touching the connectivity core must fit in the
@@ -302,26 +303,20 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
                 return WindowCheck(False, "path is disconnected inside the window")
 
     # Pairwise edge-disjoint, and every graph edge inside the slab is used
-    # exactly once.  ``used[d]`` holds the lower endpoints of the length-d
-    # edges seen so far, and a progression is itself the set of its edges'
-    # lower endpoints, so a progression that does not grow ``used[d]`` by its
-    # length shares an edge.  Each path is a forest and repeats no edge of its
-    # own, so that edge is one of an earlier path's, named only then.  The
-    # slab has w_hi - w_lo - d + 1 edges of length d, and ``used[d]`` holds
-    # only those, so a length is covered iff it holds that many; only a
-    # length short of it is scanned for its first uncovered edge, and of
-    # these the smallest edge comes first.
-    for k, progs in enumerate(paths):
+    # exactly once.  ``used[d]`` holds the starts of the length-d
+    # progressions seen so far, so a start that does not grow it names the
+    # first edge its progression shares with an earlier one (see the
+    # docstring).  A length is covered iff it holds n starts; only a length
+    # short of them is scanned for its first uncovered edge, and of these the
+    # smallest edge comes first.
+    for progs in paths:
         for r, d in progs:
-            lower = used[d]
-            before = len(lower)
-            lower.update(r)
-            if len(lower) != before + len(r):
-                earlier = {u for other in paths[:k] for q, e in other if e == d for u in q}
-                u = next(filter(earlier.__contains__, r))
-                return WindowCheck(False, f"edge {(u, u + d)} used by two paths")
-    missing = [(u, d) for d in s_plus if len(used[d]) <= w_hi - w_lo - d
-               for u in islice(filterfalse(used[d].__contains__, range(w_lo, w_hi - d + 1)), 1)]
+            starts = used[d]
+            if r.start in starts:
+                return WindowCheck(False, f"edge {(r.start, r.start + d)} used by two paths")
+            starts.add(r.start)
+    missing = [(next(filterfalse(used[d].__contains__, range(w_lo, w_lo + n))), d)
+               for d in s_plus if len(used[d]) < n]
     if missing:
         u, d = min(missing)
         return WindowCheck(False, f"edge {(u, u + d)} not covered")
