@@ -4,14 +4,10 @@
 conditions on the starter path and the offsets.  ``window_oracle`` is the
 independent cross-check: it materializes a finite slab of the infinite graph
 and verifies directly that every edge used is an edge of the graph, then
-degrees, acyclicity, connectivity and the edge partition.  They are meant to
-agree, but do not always: the oracle checks connectivity only where a whole
-starter translate fits in the slab, so on a long starter it can accept
-paths that fall apart, which the exact verifier refuses.
+degrees, acyclicity, connectivity and the edge partition.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from itertools import filterfalse, islice
 
@@ -215,11 +211,11 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
       of some ``T_k``, k != i, which forces ``last - first = m n`` with
       m != 0, and ``T_i`` ends where ``T_{i+m}`` starts.  ``H`` is |m|
       infinite chains, one per class of i mod |m|, with no finite cycle.
-    * Connectivity.  A translate that touches ``[-conn_hi, conn_hi]`` lies
-      wholly inside the slab, as ``conn_hi <= w_hi - span``, and the
-      translates wholly inside the slab form an interval of i.  So the core
-      is on one piece iff the indices of the translates touching it share
-      one class mod |m|, which always holds for |m| = 1.
+    * Connectivity.  The chains are infinite paths of degree-2 vertices, so
+      each vertex lies on exactly one, and if ``x`` lies on ``T_i`` then
+      ``x + n`` lies on ``T_{i+1}``, on the next chain.  The core holds
+      such a pair, as it is at least n + 1 wide, so the core is on one
+      piece iff |m| = 1, at every window and however long the starter.
 
     Coverage is exact at every window the oracle accepts.  Every used edge
     with both ends in the slab is materialized, so a graph edge of the slab
@@ -274,33 +270,16 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
                      if count[x % n] != 2)
             return WindowCheck(False, f"vertex {x} has degree {count[x % n]}")
 
-    # Acyclic inside the slab, and the core vertices lie on one connected
-    # piece.  Any translate touching the connectivity core must fit in the
-    # slab entirely, so the core shrinks with the starter's span; a starter
-    # spanning more than the slab leaves nothing to check and the condition
-    # holds vacuously.  The translates chain end to end (see the docstring):
-    # there is no cycle, and the core is on one piece iff the translates
-    # touching it share one class of i mod |m|.  T_i touches it iff a starter
-    # vertex lies in [-conn_hi, conn_hi] - i n - o, which one bisect of the
-    # sorted vertices decides.
+    # Acyclic, and the core vertices lie on one connected piece.  The
+    # translates chain end to end (see the docstring): there is no cycle, and
+    # each path is |m| disjoint chains, all of which meet the core.
     vs = cert.starter.vertices
-    span = max(vs) - min(vs)
-    conn_hi = min(core_hi, w_hi - span)
     m, rest = divmod(abs(vs[-1] - vs[0]), n)
     if rest:
         raise AssertionError(
             "degree 2 everywhere, yet the starter's ends are no multiple of the period apart")
-    if m > 1 and conn_hi >= 0:
-        ordered = sorted(vs)
-        for o in cert.offsets:
-            classes = set()
-            for i in range(-((conn_hi + o + ordered[-1]) // n),
-                           (conn_hi - o - ordered[0]) // n + 1):
-                j = bisect_left(ordered, -conn_hi - i * n - o)
-                if j < len(ordered) and ordered[j] <= conn_hi - i * n - o:
-                    classes.add(i % m)
-            if len(classes) > 1:
-                return WindowCheck(False, "path is disconnected inside the window")
+    if m > 1:
+        return WindowCheck(False, "path is disconnected inside the window")
 
     # Pairwise edge-disjoint, and every graph edge inside the slab is used
     # exactly once.  ``used[d]`` holds the starts of the length-d

@@ -321,9 +321,11 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
     of the graph, so that a length the slab cannot hold is refused too.  Then
     materializes every Hamilton path restricted to the slab and checks,
     inside a core sub-window where no boundary effect can bite, degree
-    exactly 2 and a single connected piece per path.  Over the whole slab it
-    checks that no path has a cycle, pairwise edge disjointness and that
-    every graph edge is covered.
+    exactly 2 per path.  Then, on a slab of its own sized from the starter's
+    span, that no path has a cycle and that its connectivity core, at least
+    2n + 1 wide, lies on one piece.  Over the whole slab it checks pairwise
+    edge disjointness and that every graph edge is covered.  Failures come
+    in that order, the order of ``window_oracle``.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
@@ -365,23 +367,20 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
             if degree.get(x, 0) != 2:
                 return WindowCheck(False, f"vertex {x} has degree {degree.get(x, 0)}")
 
-    # Acyclic inside the slab, and the core vertices lie on one connected
-    # piece.  Any translate touching the connectivity core must fit in the
-    # slab entirely, so the core shrinks with the starter's span; a starter
-    # spanning more than the slab leaves nothing to check and the condition
-    # holds vacuously.
+    # Acyclic, and the connectivity core lies on one connected piece, on a
+    # slab wide enough that every translate touching the core fits in it
+    # whole.  The core is at least 2n + 1 wide, so it holds a vertex v with
+    # v + n, which lie on different chains of a path of several: such a
+    # path cannot pass for one however long its starter.
     span = max(cert.starter.vertices) - min(cert.starter.vertices)
-    conn_hi = min(core_hi, w_hi - span)
-    conn_lo = -conn_hi
-    for edges in paths:
+    conn_hi = max(core_hi, n)
+    for o in cert.offsets:
         uf = _UnionFind()
-        for u, v in edges:
+        for u, v in reference_materialize_edges(cert, o, -conn_hi - span, conn_hi + span):
             if not uf.union(u, v):
                 return WindowCheck(False, "cycle inside the window")
-        if conn_hi >= conn_lo:
-            roots = {uf.find(x) for x in range(conn_lo, conn_hi + 1)}
-            if len(roots) > 1:
-                return WindowCheck(False, "path is disconnected inside the window")
+        if len({uf.find(x) for x in range(-conn_hi, conn_hi + 1)}) > 1:
+            return WindowCheck(False, "path is disconnected inside the window")
 
     # Pairwise edge-disjoint, and every graph edge inside the slab is used
     # exactly once.

@@ -285,11 +285,12 @@ def test_window_oracle_matches_reference(case):
 
 
 # Starters whose ends lie |m| >= 2 periods apart, so that each path is |m|
-# chains of translates: two disconnected chains; three chains accepted at 3
-# periods, where the core meets translates of one chain only; a span of 12,
-# above the 9 of a 3-period slab, which leaves no connectivity core; and two
-# chains at 3 periods of which only the last translate to touch the core
-# lies on the second.
+# chains of translates, refused at every window: two chains; three chains,
+# which the oracle accepted at 3 periods while it looked for a split only
+# among the translates touching its core; a span of 12, above the 9 of a
+# 3-period slab, accepted at 3 and 4 periods then; and two chains at 3
+# periods of which only the last translate to touch the core lies on the
+# second.
 SEVERAL_CHAINS = [((1, 3), 2, (0, 1, 4), (0,)),
                   ((3,), 2, (0, 3, 6), (0,)),
                   ((4,), 3, (0, 4, 8, 12), (0,)),
