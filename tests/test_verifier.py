@@ -1,6 +1,7 @@
 import collections
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -334,6 +335,40 @@ def test_window_oracle_chain_check_matches_reference():
     assert all(seen.values()), seen
 
 
+def test_window_oracle_per_progression_matches_reference():
+    # The oracle reads degrees, shared edges and coverage from each
+    # progression's start and length; the reference walks every edge.  Each
+    # branch of the first two checks and both outcomes of the last are
+    # counted, so that the comparison cannot pass vacuously: a degree found
+    # past the first core vertex, a degree above 2, an edge whose earlier
+    # user is not the path just before, an uncovered edge, and acceptance.
+    seen = dict.fromkeys(["degree past core_lo", "degree above 2", "shared with an older path",
+                          "not covered", "accepted"], 0)
+    certs = helpers.random_certificates(1000, seed=31) + helpers.walk_certificates(1000, seed=31)
+    for cert in certs:
+        n, max_s = cert.period, cert.connection_set.s_plus[-1]
+        smallest = smallest_window_periods(cert)
+        for periods in range(smallest, smallest + 4):
+            check = window_oracle(cert, periods)
+            assert check == helpers.reference_window_oracle(cert, periods), (cert, periods)
+            failure = check.failure or ""
+            if check.accepted:
+                seen["accepted"] += 1
+            elif failure.endswith("not covered"):
+                seen["not covered"] += 1
+            elif failure.startswith("vertex "):
+                x, degree = map(int, re.findall(r"-?\d+", failure))
+                seen["degree past core_lo"] += x != max_s - (periods - 1) * n
+                seen["degree above 2"] += degree > 2
+            elif failure.endswith("used by two paths"):
+                edge = tuple(map(int, re.findall(r"-?\d+", failure)))
+                w = periods * n
+                users = [k for k, o in enumerate(cert.offsets)
+                         if edge in helpers.reference_materialize_edges(cert, o, -w, w)]
+                seen["shared with an older path"] += users[1] - users[0] > 1
+    assert all(seen.values()), seen
+
+
 def test_window_oracle_chain_invariant_raises(monkeypatch):
     # Degree 2 at every vertex puts the starter's ends a multiple of the
     # period apart.  A slab that says otherwise is a library bug, raised, not
@@ -548,6 +583,23 @@ def test_window_oracle_memory_with_many_lengths():
         tracemalloc.stop()
     assert check == WindowCheck(False, "edge (-9003, -9001) not covered")
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("s_plus, periods, mib", [((1,), 62499, 1), ((2837, 2839), 5, 5)])
+def test_window_oracle_memory_at_the_edge_cap(s_plus, periods, mib):
+    # The two largest windows under MAX_WINDOW_EDGES, as in the CLI's
+    # 128 MiB test.  The oracle keeps a few ints per progression, however
+    # many edges it holds: with a set of every edge's lower endpoint per
+    # length, these peaked at 8.5 and 9.3 MB.
+    cert = construct(ConnectionSet(s_plus))
+    tracemalloc.start()
+    try:
+        check = window_oracle(cert, periods)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check == WindowCheck(True)
+    assert peak < mib * 2**20
 
 
 class TestCrossValidation:
