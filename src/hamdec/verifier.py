@@ -260,8 +260,8 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # first core vertex of another degree lies among the first
     # (progressions + 1) core vertices, however large the period: degree 2 at
     # all of them would take more than the path's 2 * progressions endpoints,
-    # or, past n of them, every class at 2.  Only those are searched, and
-    # only once some class is not at 2.
+    # unless they number more than n and so hold every class.  Only those are
+    # searched, and only once some class is not at 2.
     width = core_hi - core_lo + 1
     for progs in paths:
         count = Counter([r.start % n for r, _ in progs] + [(r.start + d) % n for r, d in progs])
@@ -283,9 +283,8 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
 
     # Pairwise edge-disjoint, and every graph edge inside the slab is used
     # exactly once.  ``used[d]`` holds the starts of the length-d
-    # progressions seen so far, so a start that does not grow it names the
-    # first edge its progression shares with an earlier one (see the
-    # docstring).  A length is covered iff it holds n starts; only a length
+    # progressions seen so far, so a start already there names the first
+    # edge its progression shares with an earlier one (see the docstring).  A length is covered iff it holds n starts; only a length
     # short of them is scanned for its first uncovered edge, and of these the
     # smallest edge comes first.
     for progs in paths:
