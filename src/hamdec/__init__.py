@@ -34,7 +34,6 @@ from .errors import (
     Unsupported,
     VertexOverflow,
     WindowTooLarge,
-    WindowTooSmall,
 )
 from .figures import render_figure
 from .model import (
@@ -75,7 +74,6 @@ __all__ = [
     "VertexOverflow",
     "WindowCheck",
     "WindowTooLarge",
-    "WindowTooSmall",
     "analyze",
     "circular_length",
     "construct",

@@ -37,11 +37,10 @@ from .errors import (
     RepeatedVertex,
     Unsupported,
     WindowTooLarge,
-    WindowTooSmall,
 )
 from .model import ConnectionSet
 from .figures import FORMATS, render_figure
-from .verifier import smallest_window_periods, verify_certificate, window_oracle
+from .verifier import verify_certificate, window_oracle
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -104,8 +103,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _window_periods(text: str) -> int | str:
-    """``--window-periods``: at least 3 periods, or ``auto`` for the smallest window that works.
+    """``--window-periods``: at least 3 periods, or ``auto`` for 3.
 
+    The oracle names its failures by residue class, so the window changes
+    its cost and never its outcome, unless the window is over the edge cap.
     A count below 3 is refused here, before the exact check runs.
     """
     if text == "auto":
@@ -169,10 +170,10 @@ def cmd_verify(args) -> int:
     if report.failures:
         print(f"failures: {', '.join(report.failures)}")
     auto = args.window_periods == "auto"
-    periods = smallest_window_periods(cert) if auto else args.window_periods
+    periods = 3 if auto else args.window_periods
     try:
         check = window_oracle(cert, periods)
-    except (WindowTooSmall, WindowTooLarge) as exc:
+    except WindowTooLarge as exc:
         print(f"window oracle: not run ({exc})" if auto else f"window oracle: {exc}")
         return EXIT_USAGE
     print(f"window oracle ({periods} periods): "

@@ -82,10 +82,6 @@ class NotPrime(HamdecError):
     """A sweep was requested for a modulus that is not an odd prime."""
 
 
-class WindowTooSmall(HamdecError):
-    """The requested window cannot hold enough structure to check anything."""
-
-
 class WindowTooLarge(HamdecError):
     """The requested window would hold more edges or vertices than the package materializes."""
 

@@ -24,15 +24,16 @@ INT64_MAX = 2**63 - 1
 # The most edges ``materialize_edges`` may describe in one call, counted as an
 # upper bound before any progression is built; the figures also draw at most
 # this many vertices.  Measured peaks over a 15 MB interpreter (Python 3.11,
-# 64-bit Linux): the window oracle reads one range per progression and never
-# walks its edges, so the cap reaches it only through the progressions
+# 64-bit Linux): the window oracle reads one residue class per progression
+# and never walks its edges, so its answer does not depend on the window,
+# and this cap, whose bound grows with the window, is its one refusal
 # (S+ = {1} at 62,499 periods, one progression: 15.0 MB RSS; the default
-# 5-period window of 4-valent (2837, 2839), 11,356 progressions: 19.2 MB),
-# and it keeps the cap and its refusal for now; an SVG figure takes about
-# 300 B per edge, 285 B per vertex and 180 B more per labelled vertex
-# (period 1, every vertex labelled: 106 MB RSS at the cap).  Both run at the
-# cap under a 128 MiB ``ulimit -v`` (the tests run the oracle's two cases
-# so); the benchmark's windows stay under 40,000 edges.
+# 5-period window of 4-valent (2837, 2839), 11,356 progressions: 19.2 MB);
+# an SVG figure takes about 300 B per edge, 285 B per vertex and 180 B more
+# per labelled vertex (period 1, every vertex labelled: 106 MB RSS at the
+# cap).  Both run at the cap under a 128 MiB ``ulimit -v`` (the tests run
+# the oracle's two cases so); the benchmark's windows stay under 40,000
+# edges.
 MAX_WINDOW_EDGES = 125_000
 
 

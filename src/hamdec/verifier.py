@@ -2,9 +2,11 @@
 
 ``verify_certificate`` reduces the infinite claim to finitely many exact
 conditions on the starter path and the offsets.  ``window_oracle`` is the
-independent cross-check: it materializes a finite slab of the infinite graph
-and verifies directly that every edge used is an edge of the graph, then
-degrees, acyclicity, connectivity and the edge partition.
+independent cross-check: it materializes the paths on a finite slab of the
+infinite graph, as one progression of translates per starter edge and
+offset, and verifies that every edge used is an edge of the graph, then
+degrees, acyclicity, connectivity and the edge partition, class by class
+mod the period.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from itertools import filterfalse, islice
 
 from .admissibility import analyze
 from .model import DecompositionCertificate, Value, materialize_edges
-from .errors import WindowTooSmall
 
 PATH_BROKEN = "PathBroken"
 ENDPOINT_MISMATCH = "EndpointMismatch"
@@ -157,53 +158,35 @@ class WindowCheck(Value):
     failure: str | None = None
 
 
-def smallest_window_periods(cert: DecompositionCertificate) -> int:
-    """The fewest periods ``window_oracle`` accepts for ``cert``.
-
-    The window has at least 3 periods and must hold the longest edge
-    (``periods * n >= 2 * max_s``).  Its core is then never empty: for
-    P >= 3 periods, ``(P - 1) * n >= P * n / 2 >= max_s``, so the core
-    ``|x| <= (P - 1) * n - max_s`` holds 0.
-    """
-    n, max_s = cert.period, cert.connection_set.s_plus[-1]
-    return max(3, -(-2 * max_s // n))
-
-
 def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
-    """Brute-force check on the finite slab [-periods*n, periods*n].
+    """Check ``cert`` class by class, from its progressions on the slab [-periods*n, periods*n].
 
     Materializes every Hamilton path restricted to the slab, as one progression
     of translates per starter edge and offset, and checks, in this order:
-    that every edge used is an edge of the graph; inside a core sub-window
-    where no boundary effect can bite, degree exactly 2 per path; that no
-    path has a cycle and that the core lies on one piece of it; and over
-    the whole slab, pairwise edge disjointness and that every graph edge is
-    covered.  A length outside S+ is refused first, from each progression's
-    start, so it is named even when the slab cannot hold it, and no later
-    check sees an edge longer than ``max_s = max(S+)``.
+    that every length used is in S+; degree exactly 2 at every vertex, per
+    path; that no path has a cycle and that each is connected; that no edge is
+    used by two paths; and that every graph edge is covered.  Each failure is
+    named by a residue class mod n, so the outcome is the same at every window.
 
-    Degrees, disjointness and coverage take one step per progression, read
-    from its start and its length, however many edges it has.  This is
-    exact.  A progression ``(r, d)`` is every slab edge ``(u, u + d)`` with
-    ``u`` in one class mod n: its start lies in ``[w_lo, w_lo + n)``, and
-    its stop, ``w_hi - d + 1``, is fixed by d.  As d <= max_s,
-    ``core_lo >= w_lo + d`` and ``core_hi <= w_hi - d``, so its lower ends
-    and its upper ends alike cover their whole class across the core.  A
-    core vertex's slab degree is therefore the number of progression
-    endpoints ``r.start`` and ``r.start + d`` in its class mod n.  And as
-    the start and d fix the range, two progressions of one length share an
-    edge exactly when they have the same start, and the edge at that start
-    is the first they share.
+    Every check is exact at any window.  A progression ``(r, d)`` stands for
+    the whole class of edges ``(u, u + d)`` with ``u ≡ r.start (mod n)``:
+    they are the translates of one starter edge, in the infinite graph, and
+    ``r.start`` is defined even when the range is empty.  So:
+
+    * the degree of every vertex of class c, in one path, is the number of
+      that path's progression endpoints ``r.start`` and ``r.start + d`` that
+      fall in c;
+    * two progressions of one length share an edge iff their starts are
+      congruent mod n, and then they share the whole class;
+    * the class ``(d, c)``, d in S+, is covered iff some length-d start is
+      congruent to c.
 
     Acyclicity and connectivity are exact from the starter's ends.  Each
     path ``H`` is the union of the translates ``T_i = starter + i n + o``,
     i in Z.
 
-    * Every vertex has degree 2.  The degree check has passed, and every
-      core vertex keeps all its true neighbours inside the slab, so its
-      true degree is 2.  The core is at least n + 1 wide, as
-      ``core_hi >= n/2`` for P >= 3, so by periodicity every vertex of
-      ``H`` has degree 2, counted with multiplicity.
+    * Every vertex has degree 2, counted with multiplicity, once the degree
+      check has passed.
     * Translates meet only end to end.  ``T_i`` is a simple path whose
       inner vertices have degree 2 inside ``T_i``, so it meets another
       translate only at its ends, and only at that translate's ends.
@@ -213,66 +196,38 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
       infinite chains, one per class of i mod |m|, with no finite cycle.
     * Connectivity.  The chains are infinite paths of degree-2 vertices, so
       each vertex lies on exactly one, and if ``x`` lies on ``T_i`` then
-      ``x + n`` lies on ``T_{i+1}``, on the next chain.  The core holds
-      such a pair, as it is at least n + 1 wide, so the core is on one
-      piece iff |m| = 1, at every window and however long the starter.
-
-    Coverage is exact at every window the oracle accepts.  Every used edge
-    with both ends in the slab is materialized, so a graph edge of the slab
-    is covered there if and only if its class (d, u mod n) is used by some
-    path.  And ``periods * n >= 2 * max_s`` gives 2Pn - d >= 3Pn/2 >= n - 1
-    for every d in S+, so ``range(w_lo, w_hi - d + 1)`` meets every class
-    mod n: the slab holds a translate of every graph edge.  A length is
-    then covered iff its progressions have n distinct starts, and else its
-    first uncovered edge starts at the first ``u`` of ``[w_lo, w_lo + n)``
-    that is no start.
+      ``x + n`` lies on ``T_{i+1}``, on the next chain.  So ``H`` is
+      connected iff |m| = 1, however long the starter.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
     n = cert.period
     s_plus = cert.connection_set.s_plus
-    max_s = s_plus[-1]
-    if periods < smallest_window_periods(cert):
-        raise WindowTooSmall(
-            f"window of {periods} periods ({periods * n}) cannot hold edges of length {max_s}")
+    paths = materialize_edges(cert, -periods * n, periods * n)
 
-    w_hi = periods * n
-    w_lo = -w_hi
-    core_hi = (periods - 1) * n - max_s  # >= 0, as smallest_window_periods shows
-    core_lo = -core_hi
-
-    paths = materialize_edges(cert, w_lo, w_hi)
-
-    # Every used length is in S+: the smallest edge (u, u + d) with d outside
-    # S+ is named, u the lowest lower endpoint >= w_lo of d's progressions.
-    # A progression's start is that endpoint even when the slab cannot hold
-    # d, so a length is refused however long it is.  ``used`` holds, per
-    # length in S+, the progression starts seen so far (below).
+    # Every used length is in S+: the smallest class (d, r) with d outside S+
+    # is named.  ``used`` holds, per length in S+, the classes of the
+    # progressions seen so far (below).
     used: dict[int, set[int]] = {d: set() for d in s_plus}
-    foreign = [(r.start, d) for progs in paths for r, d in progs if d not in used]
+    foreign = [(d, r.start % n) for progs in paths for r, d in progs if d not in used]
     if foreign:
-        u, d = min(foreign)
-        return WindowCheck(False, f"edge {(u, u + d)} is not an edge of the graph")
+        d, r = min(foreign)
+        return WindowCheck(False, f"length {d}, residue {r} mod {n} is not an edge of the graph")
 
-    # Degree 2 at every core vertex, per path.  Core vertices keep all their
-    # true neighbours inside the slab, so slab degree equals true degree: the
-    # count of the progression endpoints in the vertex's class mod n.  The
-    # first core vertex of another degree lies among the first
-    # (progressions + 1) core vertices, however large the period: degree 2 at
-    # all of them would take more than the path's 2 * progressions endpoints,
-    # unless they number more than n and so hold every class.  Only those are
-    # searched, and only once some class is not at 2.
-    width = core_hi - core_lo + 1
+    # Degree 2 at every vertex, per path: the count of the progression
+    # endpoints in its class.  The smallest class of another degree is among
+    # the first (progressions + 1), however large the period: degree 2 at all
+    # of them would take more than the path's 2 * progressions endpoints,
+    # unless they number more than n and so are every class.  They are
+    # searched only once some class is not at 2.
     for progs in paths:
         count = Counter([r.start % n for r, _ in progs] + [(r.start + d) % n for r, d in progs])
         if len(count) < n or set(count.values()) != {2}:
-            x = next(x for x in range(core_lo, core_lo + min(width, len(progs) + 1))
-                     if count[x % n] != 2)
-            return WindowCheck(False, f"vertex {x} has degree {count[x % n]}")
+            c = next(c for c in range(n) if count[c] != 2)
+            return WindowCheck(False, f"vertex class {c} mod {n} has degree {count[c]}")
 
-    # Acyclic, and the core vertices lie on one connected piece.  The
-    # translates chain end to end (see the docstring): there is no cycle, and
-    # each path is |m| disjoint chains, all of which meet the core.
+    # Acyclic and connected.  The translates chain end to end (see the
+    # docstring): there is no cycle, and each path is |m| disjoint chains.
     vs = cert.starter.vertices
     m, rest = divmod(abs(vs[-1] - vs[0]), n)
     if rest:
@@ -281,22 +236,19 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     if m > 1:
         return WindowCheck(False, "path is disconnected inside the window")
 
-    # Pairwise edge-disjoint, and every graph edge inside the slab is used
-    # exactly once.  ``used[d]`` holds the starts of the length-d
-    # progressions seen so far, so a start already there names the first
-    # edge its progression shares with an earlier one (see the docstring).  A length is covered iff it holds n starts; only a length
-    # short of them is scanned for its first uncovered edge, and of these the
-    # smallest edge comes first.
+    # Pairwise edge-disjoint, and every graph edge is used exactly once.  A
+    # class already in ``used[d]`` is shared with an earlier progression; a
+    # length is covered iff it holds all n classes, and else its smallest
+    # missing class is named, the smallest length first.
     for progs in paths:
         for r, d in progs:
-            starts = used[d]
-            if r.start in starts:
-                return WindowCheck(False, f"edge {(r.start, r.start + d)} used by two paths")
-            starts.add(r.start)
-    missing = [(next(filterfalse(used[d].__contains__, range(w_lo, w_lo + n))), d)
-               for d in s_plus if len(used[d]) < n]
-    if missing:
-        u, d = min(missing)
-        return WindowCheck(False, f"edge {(u, u + d)} not covered")
+            c = r.start % n
+            if c in used[d]:
+                return WindowCheck(False, f"length {d}, residue {c} mod {n} used by two paths")
+            used[d].add(c)
+    for d in s_plus:
+        if len(used[d]) < n:
+            r = next(filterfalse(used[d].__contains__, range(n)))
+            return WindowCheck(False, f"length {d}, residue {r} mod {n} not covered")
 
     return WindowCheck(True)

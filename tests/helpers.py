@@ -23,7 +23,6 @@ from hamdec import (
     VertexOverflow,
     WindowCheck,
     WindowTooLarge,
-    WindowTooSmall,
     circular_length,
     construct_4valent,
     construct_consecutive,
@@ -37,7 +36,6 @@ from hamdec import (
 from hamdec.cli import main
 from hamdec.document import to_json
 from hamdec.model import INT64_MAX, INT64_MIN, MAX_WINDOW_EDGES
-from hamdec.verifier import smallest_window_periods
 
 
 def naive_find(k: int, lengths) -> bool:
@@ -315,85 +313,78 @@ class _UnionFind:
 def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     """The window oracle written edge by edge, as a reference for ``window_oracle``.
 
-    Brute-force check on the finite slab [-periods*n, periods*n].
+    Names each failure by a residue class mod n, as ``window_oracle`` does,
+    and answers the same at every window of at least 3 periods: it walks
+    every edge of slabs of its own, not of the window.
 
     First checks, from the starter's edges, that every edge used is an edge
-    of the graph, so that a length the slab cannot hold is refused too.  Then
-    materializes every Hamilton path restricted to the slab and checks,
-    inside a core sub-window where no boundary effect can bite, degree
-    exactly 2 per path.  Then, on a slab of its own sized from the starter's
-    span, that no path has a cycle and that its connectivity core, at least
-    2n + 1 wide, lies on one piece.  Over the whole slab it checks pairwise
-    edge disjointness and that every graph edge is covered.  Failures come
-    in that order, the order of ``window_oracle``.
+    of the graph, so that a length of any size is refused.  Then
+    materializes every Hamilton path on the slab [-max_s, n - 1 + max_s],
+    where every vertex of [0, n), one per class, keeps all its neighbours
+    and every class (d, r) of length d <= max_s has its edge (r, r + d), and
+    checks there degree exactly 2 per path.  Then, on a slab sized from the
+    starter's span, that no path has a cycle and that its connectivity core,
+    [-n, n], lies on one piece.  Last, on the first slab, pairwise edge
+    disjointness and that every graph edge is covered.  Failures come in
+    that order, the order of ``window_oracle``.
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
     n = cert.period
     s_plus = cert.connection_set.s_plus
     max_s = s_plus[-1]
-    if periods * n < 2 * max_s:
-        raise WindowTooSmall(
-            f"window of {periods} periods ({periods * n}) cannot hold edges of length {max_s}")
-
-    w_hi = periods * n
-    w_lo = -w_hi
-    core_hi = (periods - 1) * n - max_s
-    core_lo = -core_hi
 
     # Every used length is in S+.  Per offset and starter edge (u, u + d)
-    # with d outside S+, its translates' lowest lower endpoint >= w_lo is a
-    # candidate, whether or not the slab holds the edge; the smallest
-    # candidate edge is named.
-    foreign = []
-    for o in cert.offsets:
-        for u, v in cert.starter.edges():
-            if v - u not in s_plus:
-                lowest = u + o + n * -((u + o - w_lo) // n)  # ceil((w_lo - u - o) / n)
-                foreign.append((lowest, lowest + v - u))
+    # with d outside S+, its translates' class (d, (u + o) mod n) is a
+    # candidate, whether or not any slab holds the edge; the smallest is
+    # named.
+    foreign = [(v - u, (u + o) % n) for o in cert.offsets for u, v in cert.starter.edges()
+               if v - u not in s_plus]
     if foreign:
-        return WindowCheck(False, f"edge {min(foreign)} is not an edge of the graph")
+        d, r = min(foreign)
+        return WindowCheck(False, f"length {d}, residue {r} mod {n} is not an edge of the graph")
 
-    paths = [reference_materialize_edges(cert, o, w_lo, w_hi) for o in cert.offsets]
+    paths = [reference_materialize_edges(cert, o, -max_s, n - 1 + max_s) for o in cert.offsets]
 
-    # Degree 2 at every core vertex, per path.  Core vertices keep all their
-    # true neighbours inside the slab, so slab degree equals true degree.
+    # Degree 2 at the vertices 0..n-1, per path: they keep all their true
+    # neighbours inside the slab, and every vertex shares the degree of the
+    # one of its class.
     for edges in paths:
         degree = Counter()
         for u, v in edges:
             degree[u] += 1
             degree[v] += 1
-        for x in range(core_lo, core_hi + 1):
-            if degree.get(x, 0) != 2:
-                return WindowCheck(False, f"vertex {x} has degree {degree.get(x, 0)}")
+        for c in range(n):
+            if degree[c] != 2:
+                return WindowCheck(False, f"vertex class {c} mod {n} has degree {degree[c]}")
 
     # Acyclic, and the connectivity core lies on one connected piece, on a
     # slab wide enough that every translate touching the core fits in it
-    # whole.  The core is at least 2n + 1 wide, so it holds a vertex v with
-    # v + n, which lie on different chains of a path of several: such a
-    # path cannot pass for one however long its starter.
+    # whole.  The core is 2n + 1 wide, so it holds a vertex v with v + n,
+    # which lie on different chains of a path of several: such a path cannot
+    # pass for one however long its starter.
     span = max(cert.starter.vertices) - min(cert.starter.vertices)
-    conn_hi = max(core_hi, n)
     for o in cert.offsets:
         uf = _UnionFind()
-        for u, v in reference_materialize_edges(cert, o, -conn_hi - span, conn_hi + span):
+        for u, v in reference_materialize_edges(cert, o, -n - span, n + span):
             if not uf.union(u, v):
                 return WindowCheck(False, "cycle inside the window")
-        if len({uf.find(x) for x in range(-conn_hi, conn_hi + 1)}) > 1:
+        if len({uf.find(x) for x in range(-n, n + 1)}) > 1:
             return WindowCheck(False, "path is disconnected inside the window")
 
-    # Pairwise edge-disjoint, and every graph edge inside the slab is used
-    # exactly once.
+    # Pairwise edge-disjoint, and every graph edge is used exactly once.  The
+    # edges of one class come together, and the slab holds one of each, so
+    # the first edge seen twice lies in the first class used twice.
     seen: set[tuple[int, int]] = set()
     for edges in paths:
-        for e in edges:
-            if e in seen:
-                return WindowCheck(False, f"edge {e} used by two paths")
-            seen.add(e)
-    for x in range(w_lo, w_hi + 1):
-        for d in s_plus:
-            if x + d <= w_hi and (x, x + d) not in seen:
-                return WindowCheck(False, f"edge ({x}, {x + d}) not covered")
+        for u, v in edges:
+            if (u, v) in seen:
+                return WindowCheck(False, f"length {v - u}, residue {u % n} mod {n} used by two paths")
+            seen.add((u, v))
+    for d in s_plus:
+        for r in range(n):
+            if (r, r + d) not in seen:
+                return WindowCheck(False, f"length {d}, residue {r} mod {n} not covered")
 
     return WindowCheck(True)
 
@@ -688,10 +679,10 @@ def golden_oracle_cases():
 def golden_oracle_digest(cert: DecompositionCertificate, periods: str) -> str:
     """sha256 of ``window_oracle``'s check and window, or of the refusal's type and message.
 
-    ``auto`` is the window of ``smallest_window_periods``, as in ``hamdec verify``.
+    ``auto`` is 3 periods, as in ``hamdec verify``.
     """
     try:
-        p = smallest_window_periods(cert) if periods == "auto" else int(periods)
+        p = 3 if periods == "auto" else int(periods)
         text = f"{p} periods: {window_oracle(cert, p)!r}"
     except (ValueError, HamdecError) as exc:
         text = f"{type(exc).__name__}: {exc}"

@@ -209,16 +209,15 @@ class TestVerify:
         assert "exact check: accepted" in out
         assert "window oracle: " in out and "more than the cap" in out
 
-    def test_window_periods_auto_fits_a_long_edge(self, capsys, tmp_path):
-        # Period 26 and edges up to 144 long: the default 5 periods cannot
-        # hold them, auto picks the 12 that can.
+    def test_window_periods_auto_checks_a_long_edge_at_3(self, capsys, tmp_path):
+        # Period 26 and edges up to 144 long: neither auto's 3 periods nor the
+        # default 5 hold the longest edges, and both check them by class.
         path, _ = self.make_cert_file(tmp_path, ",".join(map(str, [1 + 13 * i for i in range(12)]
                                                              + [13])))
         code, out, _ = run(capsys, "verify", "--cert", str(path), "--window-periods", "auto")
-        assert (code, out) == (0, "exact check: accepted\nwindow oracle (12 periods): accepted\n")
+        assert (code, out) == (0, "exact check: accepted\nwindow oracle (3 periods): accepted\n")
         code, out, _ = run(capsys, "verify", "--cert", str(path))
-        assert code == 2
-        assert "window oracle: window of 5 periods (130) cannot hold edges of length 144" in out
+        assert (code, out) == (0, "exact check: accepted\nwindow oracle (5 periods): accepted\n")
 
     def test_window_periods_auto_over_the_cap_is_not_run(self, capsys, tmp_path):
         s = ",".join(map(str, [1 + 1001 * i for i in range(1000)] + [1001]))
@@ -229,7 +228,7 @@ class TestVerify:
         assert code == 2
         exact, oracle = out.splitlines()
         assert exact == "exact check: accepted"
-        assert oracle.startswith("window oracle: not run (window -2002000..2002000 may hold ")
+        assert oracle.startswith("window oracle: not run (window -6006..6006 may hold ")
         assert oracle.endswith(f"more than the cap of {hamdec.model.MAX_WINDOW_EDGES})")
 
     def test_window_periods_must_be_int_or_auto(self, capsys, tmp_path):
