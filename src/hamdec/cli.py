@@ -102,15 +102,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _window_periods(text: str) -> int | str:
+def _window_periods(text: str) -> int:
     """``--window-periods``: at least 3 periods, or ``auto`` for 3.
 
-    The oracle names its failures by residue class, so the window changes
-    its cost and never its outcome, unless the window is over the edge cap.
-    A count below 3 is refused here, before the exact check runs.
+    The oracle reads whole residue classes, so the count changes neither its
+    outcome nor its work; it is only reported.  A count below 3 is refused
+    here, before the exact check runs.
     """
     if text == "auto":
-        return text
+        return 3
     try:
         periods = int(text)
     except ValueError:
@@ -169,14 +169,12 @@ def cmd_verify(args) -> int:
     print(f"exact check: {'accepted' if report.accepted else 'rejected'}")
     if report.failures:
         print(f"failures: {', '.join(report.failures)}")
-    auto = args.window_periods == "auto"
-    periods = 3 if auto else args.window_periods
     try:
-        check = window_oracle(cert, periods)
+        check = window_oracle(cert, args.window_periods)
     except WindowTooLarge as exc:
-        print(f"window oracle: not run ({exc})" if auto else f"window oracle: {exc}")
+        print(f"window oracle: not run ({exc})")
         return EXIT_USAGE
-    print(f"window oracle ({periods} periods): "
+    print(f"window oracle ({args.window_periods} periods): "
           f"{'accepted' if check.accepted else 'rejected'}")
     if check.failure:
         print(f"window failure: {check.failure}")

@@ -83,7 +83,13 @@ class NotPrime(HamdecError):
 
 
 class WindowTooLarge(HamdecError):
-    """The requested window would hold more edges or vertices than the package materializes."""
+    """A call over a size cap, refused before anything is built.
+
+    The window oracle reads at most ``verifier.MAX_PROGRESSIONS``
+    progressions (offsets x starter edges), whatever the window; a figure
+    draws at most ``figures.MAX_WINDOW_EDGES`` vertices, and its range may
+    hold at most as many edges.
+    """
 
 
 class PeriodTooLarge(HamdecError):

@@ -11,30 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
-from .errors import (
-    EmptyConnectionSet,
-    RepeatedVertex,
-    VertexOverflow,
-    WindowTooLarge,
-)
+from .errors import EmptyConnectionSet, RepeatedVertex, VertexOverflow
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-
-# The most edges ``materialize_edges`` may describe in one call, counted as an
-# upper bound before any progression is built; the figures also draw at most
-# this many vertices.  Measured peaks over a 15 MB interpreter (Python 3.11,
-# 64-bit Linux): the window oracle reads one residue class per progression
-# and never walks its edges, so its answer does not depend on the window,
-# and this cap, whose bound grows with the window, is its one refusal
-# (S+ = {1} at 62,499 periods, one progression: 15.0 MB RSS; the default
-# 5-period window of 4-valent (2837, 2839), 11,356 progressions: 19.2 MB);
-# an SVG figure takes about 300 B per edge, 285 B per vertex and 180 B more
-# per labelled vertex (period 1, every vertex labelled: 106 MB RSS at the
-# cap).  Both run at the cap under a 128 MiB ``ulimit -v`` (the tests run
-# the oracle's two cases so); the benchmark's windows stay under 40,000
-# edges.
-MAX_WINDOW_EDGES = 125_000
 
 
 def _check_vertex(v: int) -> int:
@@ -242,26 +222,3 @@ class DecompositionCertificate(Value):
         set_field(self, "period", period)
         set_field(self, "starter", starter)
         set_field(self, "offsets", offs)
-
-
-def materialize_edges(cert: DecompositionCertificate, lo: int, hi: int
-                      ) -> list[list[tuple[range, int]]]:
-    """Per offset, in ``cert.offsets`` order, the edges of ``H + offset`` inside [lo, hi].
-
-    ``H`` is the union of the starter's period-translates, so the copies of
-    one starter edge of length ``d`` in the window are the edges ``(u, u + d)``
-    for ``u`` in an arithmetic progression of step ``period``.  Each path is a
-    list of ``(range of lower endpoints, d)`` pairs, one per starter edge in
-    starter order.  A window that may hold more than ``MAX_WINDOW_EDGES``
-    edges raises WindowTooLarge before any progression is built.
-    """
-    n = cert.period
-    bound = len(cert.offsets) * cert.starter.edge_count * ((hi - lo) // n + 1)
-    if bound > MAX_WINDOW_EDGES:
-        raise WindowTooLarge(
-            f"window {lo}..{hi} may hold {bound} edges, more than the cap of {MAX_WINDOW_EDGES}")
-    # The translates of the edge (u, v) + o in the window have lower endpoints
-    # from lo + (u + o - lo) mod n, the first one >= lo, up to hi - (v - u).
-    steps = [(u - lo, hi - v + u + 1, v - u) for u, v in cert.starter.edges()]
-    return [[(range(lo + (a + o) % n, stop, n), d) for a, stop, d in steps]
-            for o in cert.offsets]

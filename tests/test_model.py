@@ -138,60 +138,62 @@ def test_circular_length():
     assert circular_length(0, 13, 9) == 4
 
 
-def test_materialize_edges_order():
+def edges_in_range(cert, lo, hi):
+    """``figures.path_edges_in_range`` with each key decoded to its edge ``(u, u + d)``."""
+    m = hi - lo + 1
+    return [[(lo + key // m, lo + key // m + key % m) for key in keys]
+            for keys in figures.path_edges_in_range(cert, lo, hi)]
+
+
+def test_path_edges_in_range_matches_reference():
     cert = DecompositionCertificate(
         ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 2, 3, 6)), (0, 3))
-    # One progression of lower endpoints per starter edge, in starter order.
-    paths = model.materialize_edges(cert, -3, 8)
-    assert paths == [
-        [(range(0, 8, 6), 1), (range(1, 6, 6), 3), (range(-2, 8, 6), 1),
-         (range(2, 6, 6), 3), (range(2, 8, 6), 1), (range(-3, 6, 6), 3)],
-        [(range(-3, 8, 6), 1), (range(-2, 6, 6), 3), (range(1, 8, 6), 1),
-         (range(-1, 6, 6), 3), (range(-1, 8, 6), 1), (range(0, 6, 6), 3)],
-    ]
-    # Expanded: starter edge by starter edge, each in increasing translate order.
-    assert [helpers.expand_progressions(progs) for progs in paths] == [
-        [(0, 1), (6, 7), (1, 4), (-2, -1), (4, 5), (2, 5), (2, 3), (-3, 0), (3, 6)],
-        [(-3, -2), (3, 4), (-2, 1), (4, 7), (1, 2), (7, 8), (-1, 2), (5, 8), (-1, 0),
-         (5, 6), (0, 3)],
+    # Every translate of every starter edge with both ends in the range, per
+    # offset, sorted.
+    assert edges_in_range(cert, -3, 8) == [
+        [(-3, 0), (-2, -1), (0, 1), (1, 4), (2, 3), (2, 5), (3, 6), (4, 5), (6, 7)],
+        [(-3, -2), (-2, 1), (-1, 0), (-1, 2), (0, 3), (1, 2), (3, 4), (4, 7), (5, 6),
+         (5, 8), (7, 8)],
     ]
     for cert in helpers.family_corpus(four_valent_max_b=9, consecutive_max_k=9,
                                       skip_max_k=11, even_run_max_t=6,
                                       one_two_c_max=10, walecki_ks=(3, 5)):
         n = cert.period
         for lo, hi in ((0, n), (-2 * n - 1, 3 * n + 2), (5, 4 * n + 1)):
-            paths = model.materialize_edges(cert, lo, hi)
-            assert all(r.step == n for progs in paths for r, _ in progs)
-            assert [helpers.expand_progressions(progs) for progs in paths] == [
-                helpers.reference_materialize_edges(cert, o, lo, hi) for o in cert.offsets]
+            assert edges_in_range(cert, lo, hi) == [
+                sorted(helpers.reference_materialize_edges(cert, o, lo, hi)) for o in cert.offsets]
 
 
-def test_materialize_edges_cap(monkeypatch):
+def test_path_edges_in_range_edge_cap(monkeypatch):
+    # 0..60 has 61 vertices, under both caps below, so only the edge bound
+    # can refuse it.
     cert = DecompositionCertificate(
         ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 2, 3, 6)), (0, 3))
-    bound = 2 * 6 * (60 // 6 + 1)  # offsets * starter edges * (window periods + 1)
-    monkeypatch.setattr(model, "MAX_WINDOW_EDGES", bound)
-    paths = model.materialize_edges(cert, 0, 60)
-    expanded = [helpers.expand_progressions(progs) for progs in paths]
-    assert expanded == [helpers.reference_materialize_edges(cert, o, 0, 60) for o in cert.offsets]
-    assert sum(map(len, expanded)) <= bound
-    monkeypatch.setattr(model, "MAX_WINDOW_EDGES", bound - 1)
-    with pytest.raises(WindowTooLarge):
-        model.materialize_edges(cert, 0, 60)
+    bound = 2 * 6 * (60 // 6 + 1)  # offsets * starter edges * (range periods + 1)
+    monkeypatch.setattr(figures, "MAX_WINDOW_EDGES", bound)
+    edges = edges_in_range(cert, 0, 60)
+    assert edges == [sorted(helpers.reference_materialize_edges(cert, o, 0, 60))
+                     for o in cert.offsets]
+    assert sum(map(len, edges)) <= bound
+    monkeypatch.setattr(figures, "MAX_WINDOW_EDGES", bound - 1)
+    with pytest.raises(WindowTooLarge, match=f"may hold {bound} edges"):
+        figures.path_edges_in_range(cert, 0, 60)
 
 
 def test_one_edge_over_the_real_cap_is_refused_before_allocating():
-    # For S+ = {1} with period 1, [0, hi] has hi + 1 vertices and an edge
-    # bound of hi + 1 (it holds hi edges): hi = cap is one over both caps.
-    cert = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath((0, 1)), (0,))
-    cap = model.MAX_WINDOW_EDGES
-    assert len(figures.path_edges_in_range(cert, 0, cap - 1)[0]) == cap - 1
-    for refuse in (lambda: model.materialize_edges(cert, 0, cap),
-                   lambda: figures.path_edges_in_range(cert, 0, cap)):
+    # S+ = {1}, period 1.  With the starter (0, 1), [0, hi] has hi + 1
+    # vertices and an edge bound of hi + 1 (it holds hi edges): hi = cap is
+    # one over both caps.  Three starter edges triple the edge bound, so
+    # [0, 41666] is one over the edge cap alone.  One vertex less runs.
+    cap = figures.MAX_WINDOW_EDGES
+    for starter, hi in (((0, 1), cap), ((0, 1, 2, 3), 41_666)):
+        cert = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath(starter), (0,))
+        edges = len(starter) - 1
+        assert sum(map(len, figures.path_edges_in_range(cert, 1, hi))) == edges * (hi - 1)
         tracemalloc.start()
         start = time.perf_counter()
         with pytest.raises(WindowTooLarge, match=f"{cap + 1} .*more than the cap of {cap}"):
-            refuse()
+            figures.path_edges_in_range(cert, 0, hi)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -200,14 +202,14 @@ def test_one_edge_over_the_real_cap_is_refused_before_allocating():
 
 
 def test_figure_vertex_cap(monkeypatch):
-    # The figures draw one vertex per integer: 0..60 has 61, under the edge
-    # bound of 132, so only the vertex cap can refuse it.
-    cert = DecompositionCertificate(
-        ConnectionSet([1, 3]), 6, FinitePath((0, 1, 4, 5, 2, 3, 6)), (0, 3))
+    # The figures draw one vertex per integer: 0..60 has 61.  A damaged
+    # certificate of period 100 and one edge bounds the range's edges by 1,
+    # so only the vertex cap can refuse it.
+    cert = DecompositionCertificate(ConnectionSet([1]), 100, FinitePath((0, 1)), (0,))
     monkeypatch.setattr(figures, "MAX_WINDOW_EDGES", 61)
-    assert figures.path_edges_in_range(cert, 0, 60)
+    assert figures.path_edges_in_range(cert, 0, 60) == [[1]]
     monkeypatch.setattr(figures, "MAX_WINDOW_EDGES", 60)
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(WindowTooLarge, match="has 61 vertices"):
         figures.path_edges_in_range(cert, 0, 60)
 
 

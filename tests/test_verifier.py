@@ -8,13 +8,14 @@ import textwrap
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 import hamdec
-from hamdec import model, verifier
+from hamdec import verifier
 from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
@@ -312,7 +313,7 @@ def test_window_oracle_chain_check_matches_reference():
                 continue
             if outcome == (True, None):
                 seen["chains accept"] += 1
-            if outcome == (False, "path is disconnected inside the window"):
+            if outcome == (False, "path is disconnected"):
                 seen["chains disconnected"] += 1
             if periods * n < 2 * max_s:
                 seen["window below the longest edge"] += 1
@@ -352,18 +353,18 @@ def test_window_oracle_per_progression_matches_reference():
     assert all(seen.values()), seen
 
 
-def test_window_oracle_chain_invariant_raises(monkeypatch):
+def test_window_oracle_chain_invariant_raises():
     # Degree 2 at every vertex puts the starter's ends a multiple of the
-    # period apart.  A slab that says otherwise is a library bug, raised, not
-    # asserted, so that ``python -O`` keeps it: here the slab of a valid
-    # certificate stands in for that of a starter cut short.
+    # period apart.  A starter that says otherwise is a library bug, raised,
+    # not asserted, so that ``python -O`` keeps it: here the edges of a valid
+    # starter stand with the vertices of one cut short.
     valid = construct_4valent(1, 3)
-    cut = DecompositionCertificate(valid.connection_set, valid.period,
-                                   FinitePath(valid.starter.vertices[:-1]), valid.offsets)
-    monkeypatch.setattr(verifier, "materialize_edges",
-                        lambda cert, lo, hi: model.materialize_edges(valid, lo, hi))
+    cut = valid.starter.vertices[:-1]
+    stub = SimpleNamespace(
+        connection_set=valid.connection_set, period=valid.period, offsets=valid.offsets,
+        starter=SimpleNamespace(vertices=cut, edge_count=len(cut) - 1, edges=valid.starter.edges))
     with pytest.raises(AssertionError, match="no multiple of the period apart"):
-        window_oracle(cut, 3)
+        window_oracle(stub, 3)
 
 
 @pytest.mark.parametrize("s_plus, period, starter, offsets, failure", [
@@ -389,7 +390,7 @@ def test_window_oracle_chain_invariant_raises(monkeypatch):
     # A foreign edge that alone gives every vertex degree 2.
     ((1,), 1, (0, 6), (0,), "length 6, residue 0 mod 1 is not an edge of the graph"),
     # Two chains of translates, (0, 1, 4) + 4i and (2, 3, 6) + 4i.
-    ((1, 3), 2, (0, 1, 4), (0,), "path is disconnected inside the window"),
+    ((1, 3), 2, (0, 1, 4), (0,), "path is disconnected"),
     # Lengths 1 and 2 each miss a class, (1, 1) and (2, 0): the smaller
     # length wins, though its residue is the larger.
     ((1, 2, 3), 2, (0, 3, 2), (0,), "length 1, residue 1 mod 2 not covered"),
@@ -402,17 +403,12 @@ def test_window_failure_messages(s_plus, period, starter, offsets, failure):
 
 def test_window_oracle_outcome_does_not_depend_on_the_window():
     # Every check reads residue classes and names its failure by one, so the
-    # window sets the cost of a call and never its outcome, short of the
-    # edge cap.  The certificates are those of the golden oracle corpus.
+    # window sets neither the outcome of a call nor its work, however large.
+    # The certificates are those of the golden oracle corpus.
     for case, cert, periods in helpers.golden_oracle_cases():
         if periods != "3":
             continue
-        outcomes = set()
-        for p in (3, 4, 5, 8, 20):
-            try:
-                outcomes.add(window_oracle(cert, p))
-            except WindowTooLarge:
-                continue
+        outcomes = {window_oracle(cert, p) for p in (3, 4, 5, 8, 20, 2_000_000)}
         assert len(outcomes) == 1, (case, outcomes)
 
 
@@ -523,11 +519,35 @@ def test_invariants_raise_under_optimize():
 
 
 def test_window_oracle_refuses_large_window(monkeypatch):
+    # Two offsets times six starter edges: 12 progressions, whatever the window.
     cert = construct_4valent(1, 3)
-    assert window_oracle(cert, 5).accepted
-    monkeypatch.setattr(model, "MAX_WINDOW_EDGES", 10)
-    with pytest.raises(WindowTooLarge):
-        window_oracle(cert, 5)
+    monkeypatch.setattr(verifier, "MAX_PROGRESSIONS", 12)
+    assert window_oracle(cert, 2_000_000).accepted
+    monkeypatch.setattr(verifier, "MAX_PROGRESSIONS", 11)
+    with pytest.raises(WindowTooLarge, match="^12 progressions, more than the cap of 11$"):
+        window_oracle(cert, 3)
+
+
+def test_window_oracle_one_progression_over_the_real_cap_is_refused_before_allocating():
+    # Period 1 and a starter 0, 1, ..., e: one path of e progressions.  At
+    # the cap the oracle runs; one progression more is refused before any
+    # list is built.
+    cap = verifier.MAX_PROGRESSIONS
+    at_cap = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath(range(cap + 1)), (0,))
+    degree = WindowCheck(False, f"vertex class 0 mod 1 has degree {2 * cap}")
+    assert window_oracle(at_cap, 3) == degree
+    over = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath(range(cap + 2)), (0,))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(WindowTooLarge, match=f"^{cap + 1} progressions, more than the cap"):
+            window_oracle(over, 3)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 64 * 1024
 
 
 def test_window_oracle_huge_period_fails_fast():
@@ -579,16 +599,20 @@ def test_window_oracle_memory_with_many_lengths():
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("s_plus, periods, mib", [((1,), 62499, 1), ((2837, 2839), 5, 5)])
-def test_window_oracle_memory_at_the_edge_cap(s_plus, periods, mib):
-    # The two largest windows under MAX_WINDOW_EDGES, as in the CLI's
-    # 128 MiB test.  The oracle keeps a few ints per progression, however
-    # many edges it holds: with a set of every edge's lower endpoint per
-    # length, these peaked at 8.5 and 9.3 MB.
+@pytest.mark.parametrize("s_plus, mib", [
+    pytest.param((31247, 31249), 32, id="4-valent-31247-31249"),
+    pytest.param(tuple(range(1, 250)), 20, id="consecutive-249"),
+])
+def test_window_oracle_memory_at_the_cap(s_plus, mib):
+    # The largest 4-valent and consecutive certificates under
+    # MAX_PROGRESSIONS, as in the CLI's 128 MiB test: 124,996 and 124,002
+    # progressions.  They peak at 27.3 and 17.3 MiB (Python 3.11), a few
+    # ints per progression, at any window.
     cert = construct(ConnectionSet(s_plus))
+    assert len(cert.offsets) * cert.starter.edge_count <= verifier.MAX_PROGRESSIONS
     tracemalloc.start()
     try:
-        check = window_oracle(cert, periods)
+        check = window_oracle(cert, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
