@@ -14,6 +14,8 @@ from functools import partial
 from itertools import permutations
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from hamdec import (
     ConnectionSet,
     DecompositionCertificate,
@@ -643,6 +645,41 @@ def random_certificates(count: int, seed: int) -> list[DecompositionCertificate]
         offsets = rng.sample(range(n), rng.randint(1, n))
         out.append(DecompositionCertificate(ConnectionSet(s_plus), n, FinitePath(vs), offsets))
     return out
+
+
+@st.composite
+def small_certificates(draw) -> DecompositionCertificate:
+    """Hypothesis strategy: small certificates, valid ones among them, for the two checks to agree on.
+
+    Period n <= 8 and at most three lengths in S+.  The starter is a residue
+    walk, as in ``walk_certificates``, or an arbitrary sequence of distinct
+    vertices, shifted by up to a period either way.  S+ is drawn from the
+    lengths it uses and a few others, so some of its steps may be foreign.
+    The offsets are a union of cosets of a subgroup of Z_n, which is how
+    valid certificates look, or any list, with repeats.
+    """
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        vs = [0]
+        for r in [*draw(st.permutations(range(1, n))), 0]:
+            step = (r - vs[-1]) % n + n * draw(st.sampled_from((-1, 0, 0, 1)))
+            while step == 0 or vs[-1] + step in vs:
+                step += n
+            vs.append(vs[-1] + step)
+    else:
+        vs = draw(st.lists(st.integers(-3, n + 3), min_size=2, max_size=n + 4, unique=True))
+    shift = draw(st.integers(-n, n))
+    used = sorted({abs(v - u) for u, v in zip(vs, vs[1:])})
+    s_plus = draw(st.lists(st.sampled_from(used) | st.integers(1, 2 * n), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([m for m in range(1, n + 1) if n % m == 0]))
+        offsets = {(t + i * (n // m)) % n
+                   for t in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+                   for i in range(m)}
+    else:
+        offsets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 2))
+    return DecompositionCertificate(ConnectionSet(s_plus), n,
+                                    FinitePath(v + shift for v in vs), offsets)
 
 
 GOLDEN_ORACLE = Path(__file__).parent / "golden" / "oracle.txt"

@@ -620,6 +620,20 @@ def test_window_oracle_memory_at_the_cap(s_plus, mib):
     assert peak < mib * 2**20
 
 
+# The exact check and the oracle must agree on every small certificate: a
+# fixed sample in tier-1, and a random one of 20,000 with
+# ``HYPOTHESIS_PROFILE=agreement-large``.
+settings.register_profile("agreement", max_examples=600, derandomize=True, database=None,
+                          deadline=None)
+settings.register_profile("agreement-large", max_examples=20_000, database=None, deadline=None)
+
+
+@given(helpers.small_certificates())
+@settings(settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "agreement")))
+def test_exact_check_and_oracle_agree(cert):
+    assert verify_certificate(cert).accepted == window_oracle(cert, 3).accepted
+
+
 class TestCrossValidation:
     def test_agreement_on_valid_corpus(self):
         for cert in helpers.family_corpus(four_valent_max_b=15, consecutive_max_k=9,
