@@ -85,10 +85,9 @@ class NotPrime(HamdecError):
 class WindowTooLarge(HamdecError):
     """A call over a size cap, refused before anything is built.
 
-    The window oracle reads at most ``verifier.MAX_PROGRESSIONS``
-    progressions (offsets x starter edges), whatever the window; a figure
-    draws at most ``figures.MAX_WINDOW_EDGES`` vertices, and its range may
-    hold at most as many edges.
+    The window oracle reads at most ``verifier.MAX_PROGRESSIONS``, 10M,
+    progressions (offsets or lengths of S+, times starter edges), about 1 s;
+    a figure draws at most ``figures.MAX_WINDOW_EDGES`` vertices and edges.
     """
 
 

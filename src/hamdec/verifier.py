@@ -10,8 +10,7 @@ class mod the period.
 """
 from __future__ import annotations
 
-from collections import Counter
-from itertools import count, filterfalse, islice
+from itertools import islice
 
 from .admissibility import analyze
 from .errors import WindowTooLarge
@@ -159,18 +158,17 @@ class WindowCheck(Value):
     failure: str | None = None
 
 
-# The most progressions, offsets times starter edges, that ``window_oracle``
-# reads in one call, counted before anything is built.  The oracle keeps a
-# few ints per progression.  One ``verify`` call, which loads the file and
-# runs the exact check and the oracle, peaks at 47.0 MB RSS on 4-valent
-# (31247, 31249), 124,996 progressions, and at 32.8 MB on consecutive 249,
-# 124,002 (Python 3.11, 64-bit Linux); both run under a 128 MiB
-# ``ulimit -v``.
-MAX_PROGRESSIONS = 125_000
+# The most progressions, offsets or lengths of S+ times starter edges, that
+# ``window_oracle`` reads, counted before anything is built.  It keeps three
+# words per starter edge and a byte per length and class.  ``verify`` runs
+# it on 4-valent (1, 499999), 1,999,996 progressions, in 0.7 s, on one-two-c
+# 666666, 2,999,997, in 0.8 s, neither above the exact check's 162 MB peak,
+# and on consecutive 2236, 9,999,392, in 1.1 s (Python 3.11, Linux).
+MAX_PROGRESSIONS = 10_000_000
 
 
 def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
-    """Check ``cert`` class by class, from one progression per starter edge and offset.
+    """Check ``cert`` class by class, from the starter's own classes.
 
     The translates of the starter edge ``(u, v)``, u < v, in the path of
     offset ``o`` are the edges ``(x, x + d)`` with ``d = v - u`` and ``x ≡ c
@@ -179,26 +177,26 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     length used is in S+; degree exactly 2 at every vertex, per path; that
     no path has a cycle and that each is connected; that no edge is used by
     two paths; and that every graph edge is covered.  Each failure is named
-    by a residue class mod n.
-
-    ``periods`` is the window that ``hamdec verify`` reports, at least 3; it
-    changes neither the outcome nor the work.  A certificate of more than
-    ``MAX_PROGRESSIONS`` progressions raises WindowTooLarge before anything
-    is built.
+    by a residue class mod n.  ``periods``, at least 3, is the window that
+    ``hamdec verify`` reports; it changes neither the outcome nor the work.
+    Over ``MAX_PROGRESSIONS`` progressions, WindowTooLarge is raised at once.
 
     Every check is exact:
 
-    * the degree of every vertex of class c, in one path, is the number of
-      ends ``c'`` and ``(c' + d) mod n`` of that path's progressions
-      ``(c', d)`` that equal c;
+    * degrees are read from the starter.  A vertex x of the path of offset
+      o ends one edge per starter edge end w of class ``x - o``, in the one
+      translate with ``w + i n + o = x``, so the path's degree at class c is
+      the starter's at ``c - o``.  Every path has degree 2 everywhere iff the
+      first does, which names the smallest class of another degree: one of
+      the first ``edges + 2``, of which ``edges + 1`` vertices miss one;
     * two progressions of one length share an edge iff their classes are
       equal, and then they share the whole class;
     * the class ``(d, c)``, d in S+, is covered iff some length-d
-      progression has class c.
+      progression has class c.  Degree 2 at all n classes takes n starter
+      edges, so the marks, one ``bytearray(n)`` per length, are made after.
 
     Acyclicity and connectivity are exact from the starter's ends.  Each
-    path ``H`` is the union of the translates ``T_i = starter + i n + o``,
-    i in Z.
+    path ``H`` is the union of its translates ``T_i = starter + i n + o``.
 
     * Every vertex has degree 2, counted with multiplicity, once the degree
       check has passed.
@@ -216,38 +214,34 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     """
     if periods < 3:
         raise ValueError("periods must be at least 3")
-    progressions = len(cert.offsets) * cert.starter.edge_count
+    edges, s_plus, n = cert.starter.edge_count, cert.connection_set.s_plus, cert.period
+    progressions = max(len(cert.offsets), len(s_plus)) * edges
     if progressions > MAX_PROGRESSIONS:
         raise WindowTooLarge(
             f"{progressions} progressions, more than the cap of {MAX_PROGRESSIONS}")
-    n = cert.period
-    s_plus = cert.connection_set.s_plus
-    steps = [(u, v - u) for u, v in cert.starter.edges()]
-    paths = [[((u + o) % n, d) for u, d in steps] for o in cert.offsets]
 
-    # Every used length is in S+: the smallest class (d, c) with d outside S+
-    # is named.  ``used`` holds, per length in S+, the classes of the
-    # progressions seen so far (below).
-    used: dict[int, set[int]] = {d: set() for d in s_plus}
-    foreign = [(d, c) for progs in paths for c, d in progs if d not in used]
+    # One pass: the starter's lengths outside S+, the first path's degrees.
+    marks: dict[int, bytearray | None] = dict.fromkeys(s_plus)
+    o, span = cert.offsets[0], min(n, edges + 2)
+    degree, foreign = [0] * span, []
+    for u, v in cert.starter.edges():
+        if v - u not in marks:
+            foreign.append(v - u)
+        c = (u + o) % n
+        if c < span:
+            degree[c] += 1
+        c = (v + o) % n
+        if c < span:
+            degree[c] += 1
     if foreign:
-        d, c = min(foreign)
+        d = min(foreign)
+        c = min((u + o) % n for u, v in cert.starter.edges() if v - u == d for o in cert.offsets)
         return WindowCheck(False, f"length {d}, residue {c} mod {n} is not an edge of the graph")
+    if span < n or degree.count(2) < n:
+        c = next(c for c, k in enumerate(degree) if k != 2)
+        return WindowCheck(False, f"vertex class {c} mod {n} has degree {degree[c]}")
 
-    # Degree 2 at every vertex, per path: the count of the progression
-    # endpoints in its class.  The smallest class of another degree is among
-    # the first (progressions + 1), however large the period: degree 2 at all
-    # of them would take more than the path's 2 * progressions endpoints,
-    # unless they number more than n and so are every class.  They are
-    # searched only once some class is not at 2.
-    for progs in paths:
-        degree = Counter([c for c, _ in progs] + [(c + d) % n for c, d in progs])
-        if len(degree) < n or set(degree.values()) != {2}:
-            c = next(c for c in count() if degree[c] != 2)
-            return WindowCheck(False, f"vertex class {c} mod {n} has degree {degree[c]}")
-
-    # Acyclic and connected.  The translates chain end to end (see the
-    # docstring): there is no cycle, and each path is |m| disjoint chains.
+    # Acyclic and connected: each path is |m| chains (see the docstring).
     vs = cert.starter.vertices
     m, rest = divmod(abs(vs[-1] - vs[0]), n)
     if rest:
@@ -256,18 +250,25 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     if m > 1:
         return WindowCheck(False, "path is disconnected")
 
-    # Pairwise edge-disjoint, and every graph edge is used exactly once.  A
-    # class already in ``used[d]`` is shared with an earlier progression; a
-    # length is covered iff it holds all n classes, and else its smallest
-    # missing class is named, the smallest length first.
-    for progs in paths:
-        for c, d in progs:
-            if c in used[d]:
+    # Edge-disjoint and covering: a class marked twice, in path then starter
+    # order, is used by two paths; the smallest unmarked class of the first
+    # length with one is not covered.  ``starts`` holds int64s without ``array``.
+    rows, starts = [], memoryview(bytearray(8 * edges)).cast("q")
+    for j, (u, v) in enumerate(cert.starter.edges()):
+        row = marks[v - u]
+        if row is None:
+            row = marks[v - u] = bytearray(n)
+        rows.append(row)
+        starts[j] = u % n
+    for o in cert.offsets:
+        for row, s in zip(rows, starts):
+            c = (s + o) % n
+            if row[c]:
+                d = next(d for d, marked in marks.items() if marked is row)
                 return WindowCheck(False, f"length {d}, residue {c} mod {n} used by two paths")
-            used[d].add(c)
-    for d in s_plus:
-        if len(used[d]) < n:
-            c = next(filterfalse(used[d].__contains__, count()))
+            row[c] = 1
+    for d, row in marks.items():
+        c = 0 if row is None else row.find(0)
+        if c >= 0:
             return WindowCheck(False, f"length {d}, residue {c} mod {n} not covered")
-
     return WindowCheck(True)

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -220,15 +222,15 @@ class TestVerify:
         assert (code, out) == (0, "exact check: accepted\nwindow oracle (5 periods): accepted\n")
 
     def test_window_periods_auto_over_the_cap_is_not_run(self, capsys, tmp_path):
-        s = ",".join(map(str, [1 + 1001 * i for i in range(1000)] + [1001]))
-        path, _ = self.make_cert_file(tmp_path, s)
+        # Consecutive 2237: 2237 offsets times 4474 starter edges.
+        path, _ = self.make_cert_file(tmp_path, ",".join(map(str, range(1, 2238))))
         start = time.perf_counter()
         code, out, _ = run(capsys, "verify", "--cert", str(path), "--window-periods", "auto")
         assert time.perf_counter() - start < 0.5
         assert code == 2
         exact, oracle = out.splitlines()
         assert exact == "exact check: accepted"
-        assert oracle == (f"window oracle: not run ({1001 * 2002} progressions, "
+        assert oracle == (f"window oracle: not run ({2237 * 4474} progressions, "
                           f"more than the cap of {hamdec.verifier.MAX_PROGRESSIONS})")
 
     def test_window_periods_must_be_int_or_auto(self, capsys, tmp_path):
@@ -531,27 +533,79 @@ def test_closed_stdout_keeps_usage_errors():
     assert "error: the following arguments are required: --set" in err.decode()
 
 
-@pytest.mark.parametrize("s_plus, next_s_plus", [
-    pytest.param((31247, 31249), (31249, 31251), id="4-valent-31247-31249"),
-    pytest.param(tuple(range(1, 250)), tuple(range(1, 253)), id="consecutive-249"),
+def run_verify_in_128_mib(tmp_path, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(to_json(cert))
+    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "hamdec.cli", "verify", "--cert", str(path)],
+                          env=env, preexec_fn=helpers.limit_address_space_128_mib,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("s_plus", [
+    pytest.param((31247, 31249), id="4-valent-31247-31249"),
+    pytest.param(tuple(range(1, 250)), id="consecutive-249"),
 ])
-def test_window_oracle_at_the_cap_runs_in_128_mib(tmp_path, s_plus, next_s_plus):
-    # The largest 4-valent and consecutive certificates under the oracle's
-    # cap, whose next family members are over it: the load, the exact check
-    # and the oracle run in a fresh process limited to 128 MiB of address
-    # space.
+def test_window_oracle_at_the_cap_runs_in_128_mib(tmp_path, s_plus):
+    # 4-valent (31247, 31249) and consecutive 249, 124,996 and 124,002
+    # progressions: the load, the exact check and the oracle run in a fresh
+    # process limited to 128 MiB of address space.
+    done = run_verify_in_128_mib(tmp_path, construct(ConnectionSet(s_plus)))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "exact check: accepted\nwindow oracle (5 periods): accepted\n"
+
+
+@pytest.mark.parametrize("s_plus, next_s_plus", [
+    pytest.param(tuple(range(1, 2237)), tuple(range(1, 2238)), id="consecutive-2236"),
+    pytest.param((*range(1, 3162), 3163), (*range(1, 3163), 3164), id="skip-k-3162"),
+])
+def test_window_oracle_at_max_progressions_runs_in_128_mib(tmp_path, s_plus, next_s_plus):
+    # The largest consecutive and skip-k certificates under the oracle's cap,
+    # whose next family members are over it, run as above.
     cert, after = construct(ConnectionSet(s_plus)), construct(ConnectionSet(next_s_plus))
     cap = hamdec.verifier.MAX_PROGRESSIONS
     assert len(cert.offsets) * cert.starter.edge_count <= cap
     assert len(after.offsets) * after.starter.edge_count > cap
-    path = tmp_path / "cert.json"
-    path.write_text(to_json(cert))
-    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "hamdec.cli", "verify", "--cert", str(path)],
-                          env=env, preexec_fn=helpers.limit_address_space_128_mib,
-                          capture_output=True, text=True, timeout=60)
+    done = run_verify_in_128_mib(tmp_path, cert)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "exact check: accepted\nwindow oracle (5 periods): accepted\n"
+
+
+# ``hamdec verify``, with the oracle timed and the process's peak RSS, in KiB,
+# read before and after it.
+TIMED_VERIFY = textwrap.dedent("""
+    import resource, sys, time
+    from hamdec import cli
+    oracle = cli.window_oracle
+    def timed(cert, periods):
+        peak, start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, time.perf_counter()
+        check = oracle(cert, periods)
+        print(time.perf_counter() - start, peak, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+              file=sys.stderr)
+        return check
+    cli.window_oracle = timed
+    sys.exit(cli.main(["verify", "--cert", sys.argv[1]]))
+    """)
+
+
+def test_verify_at_the_period_cap_runs_the_oracle(tmp_path):
+    # 4-valent (1, 499999), of period 999,998 and 1,999,996 progressions:
+    # ``verify`` exits 0 in 256 MiB of address space, where it needs about
+    # 168 MiB, and the oracle takes 0.7 s and sets no new peak RSS; the exact
+    # check sets it, at about 162 MB (Python 3.11).
+    path = tmp_path / "cert.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+    subprocess.run([sys.executable, "-m", "hamdec.cli", "construct", "--set", "1,499999",
+                    "--out", str(path)], env=env, capture_output=True, timeout=60, check=True)
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_VERIFY, str(path)], env=env, capture_output=True, text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "exact check: accepted\nwindow oracle (5 periods): accepted\n"
+    seconds, before, after = map(float, done.stderr.split())
+    assert seconds < 2
+    assert after == before
 
 
 def test_witness_at_the_search_cap_prints_in_128_mib():

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -19,6 +20,7 @@ from hamdec import (
     NotAdmissible,
     PeriodTooLarge,
     Unsupported,
+    analyze,
     constructions,
     construct,
     construct_4valent,
@@ -31,6 +33,7 @@ from hamdec import (
     construct_with_family,
     verify_certificate,
     walecki_path,
+    window_oracle,
 )
 from hamdec.document import to_json
 
@@ -345,6 +348,25 @@ class TestDispatcher:
         for s in ([1, 5], [1, 2, 3, 4], [1, 2, 4], [1, 2, 4, 6, 8], [1, 2, 12], [3, 5, 7],
                   [5, 7, 9, 11, 27]):
             assert verify_certificate(construct(ConnectionSet(s))).accepted
+
+    def test_every_admissible_pair_decomposes(self):
+        # The paper's k = 2 theorem: every connected 4-valent circulant that
+        # passes the necessary conditions decomposes into two Hamilton paths.
+        # Each admissible {a, b} with b <= 100 is built and both checks accept
+        # it; each other pair is refused as not admissible, and nothing else
+        # is raised.
+        families = collections.Counter()
+        for b in range(2, 101):
+            for a in range(1, b):
+                s = ConnectionSet([a, b])
+                if not analyze(s).admissible:
+                    with pytest.raises(NotAdmissible):
+                        construct_with_family(s)
+                    continue
+                family, cert = construct_with_family(s)
+                assert verify_certificate(cert).accepted and window_oracle(cert, 3).accepted, s
+                families[family] += 1
+        assert families == {"four-valent": 1002, "skip-k": 1}
 
 
 class TestShortRefusals:

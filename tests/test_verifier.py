@@ -526,17 +526,26 @@ def test_window_oracle_refuses_large_window(monkeypatch):
     monkeypatch.setattr(verifier, "MAX_PROGRESSIONS", 11)
     with pytest.raises(WindowTooLarge, match="^12 progressions, more than the cap of 11$"):
         window_oracle(cert, 3)
+    # Three lengths of S+ times six starter edges count 18, more than the
+    # offsets give: the coverage marks hold a byte per length and class.
+    wide = DecompositionCertificate(ConnectionSet([1, 3, 5]), cert.period, cert.starter,
+                                    cert.offsets)
+    monkeypatch.setattr(verifier, "MAX_PROGRESSIONS", 18)
+    assert window_oracle(wide, 3) == WindowCheck(False, "length 5, residue 0 mod 6 not covered")
+    monkeypatch.setattr(verifier, "MAX_PROGRESSIONS", 17)
+    with pytest.raises(WindowTooLarge, match="^18 progressions, more than the cap of 17$"):
+        window_oracle(wide, 3)
 
 
 def test_window_oracle_one_progression_over_the_real_cap_is_refused_before_allocating():
-    # Period 1 and a starter 0, 1, ..., e: one path of e progressions.  At
-    # the cap the oracle runs; one progression more is refused before any
-    # list is built.
+    # Period 1, a starter 0, 1, ..., e and k offsets 0: k paths of e
+    # progressions each, k e = cap + 1 = 11 x 909,091.  At the cap the oracle
+    # runs; one progression more is refused before any list is built.
     cap = verifier.MAX_PROGRESSIONS
-    at_cap = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath(range(cap + 1)), (0,))
-    degree = WindowCheck(False, f"vertex class 0 mod 1 has degree {2 * cap}")
-    assert window_oracle(at_cap, 3) == degree
-    over = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath(range(cap + 2)), (0,))
+    assert cap == 10 * 10**6
+    at_cap = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath(range(11)), [0] * 10**6)
+    assert window_oracle(at_cap, 3) == WindowCheck(False, "vertex class 0 mod 1 has degree 20")
+    over = DecompositionCertificate(ConnectionSet([1]), 1, FinitePath(range(12)), [0] * 909_091)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -599,25 +608,46 @@ def test_window_oracle_memory_with_many_lengths():
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("s_plus, mib", [
-    pytest.param((31247, 31249), 32, id="4-valent-31247-31249"),
-    pytest.param(tuple(range(1, 250)), 20, id="consecutive-249"),
+# Run in a fresh process: the oracle's peak RSS over that of the process
+# which has just built the certificate, in MiB.  A forked child's peak starts
+# at its parent's resident set, so the peak of a child that calls nothing is
+# subtracted.
+ORACLE_PEAK = textwrap.dedent("""
+    import os, sys
+    from hamdec import ConnectionSet, WindowCheck, construct, window_oracle
+    cert = construct(ConnectionSet(map(int, sys.argv[1].split(","))))
+    peaks = []
+    for call in (lambda: True, lambda: window_oracle(cert, 5) == WindowCheck(True)):
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if call() else 1
+            finally:
+                os._exit(code)
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        peaks.append(usage.ru_maxrss)
+    print(len(cert.offsets) * cert.starter.edge_count, (peaks[1] - peaks[0]) / 1024)
+    """)
+
+
+@pytest.mark.parametrize("s_plus, progressions, mib", [
+    pytest.param((1, 499999), 1_999_996, 48, id="4-valent-1-499999"),
+    pytest.param(tuple(range(1, 2237)), 9_999_392, 16, id="consecutive-2236"),
 ])
-def test_window_oracle_memory_at_the_cap(s_plus, mib):
-    # The largest 4-valent and consecutive certificates under
-    # MAX_PROGRESSIONS, as in the CLI's 128 MiB test: 124,996 and 124,002
-    # progressions.  They peak at 27.3 and 17.3 MiB (Python 3.11), a few
-    # ints per progression, at any window.
-    cert = construct(ConnectionSet(s_plus))
-    assert len(cert.offsets) * cert.starter.edge_count <= verifier.MAX_PROGRESSIONS
-    tracemalloc.start()
-    try:
-        check = window_oracle(cert, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert check == WindowCheck(True)
-    assert peak < mib * 2**20
+def test_window_oracle_memory_at_the_cap(s_plus, progressions, mib):
+    # The largest 4-valent certificate, at the period cap, and the largest
+    # consecutive one under MAX_PROGRESSIONS.  The oracle keeps three words
+    # per starter edge and a byte per length and class: it adds 32 and 9 MiB
+    # (Python 3.11), at any window.
+    env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", ORACLE_PEAK, ",".join(map(str, s_plus))],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    count, peak = done.stdout.split()
+    assert int(count) == progressions <= verifier.MAX_PROGRESSIONS
+    assert float(peak) < mib
 
 
 # The exact check and the oracle must agree on every small certificate: a
