@@ -86,8 +86,9 @@ class WindowTooLarge(HamdecError):
     """A call over a size cap, refused before anything is built.
 
     The window oracle reads at most ``verifier.MAX_PROGRESSIONS``, 10M,
-    progressions (offsets or lengths of S+, times starter edges), about 1 s;
-    a figure draws at most ``figures.MAX_WINDOW_EDGES`` vertices and edges.
+    progressions (offsets or lengths of S+, times starter edges, so also
+    |S+| rows of n bytes, filled one at a time), about 1 s; a figure draws
+    at most ``figures.MAX_WINDOW_EDGES`` vertices and edges.
     """
 
 

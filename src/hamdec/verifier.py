@@ -159,11 +159,12 @@ class WindowCheck(Value):
 
 
 # The most progressions, offsets or lengths of S+ times starter edges, that
-# ``window_oracle`` reads, counted before anything is built.  It keeps three
-# words per starter edge and a byte per length and class.  ``verify`` runs
-# it on 4-valent (1, 499999), 1,999,996 progressions, in 0.7 s, on one-two-c
-# 666666, 2,999,997, in 0.8 s, neither above the exact check's 162 MB peak,
-# and on consecutive 2236, 9,999,392, in 1.1 s (Python 3.11, Linux).
+# ``window_oracle`` reads, counted before anything is built: the offsets x
+# edges progressions it marks, and the |S+| rows of n = edges bytes it fills
+# one at a time.  ``verify`` runs it on 4-valent (1, 499999), 1,999,996
+# progressions, in 0.7 s, on one-two-c 666666, 2,999,997, in 0.8 s, neither
+# above the exact check's 162 MB peak, and on consecutive 2236, 9,999,392,
+# in 1.1 s (Python 3.11, Linux).
 MAX_PROGRESSIONS = 10_000_000
 
 
@@ -177,8 +178,9 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     length used is in S+; degree exactly 2 at every vertex, per path; that
     no path has a cycle and that each is connected; that no edge is used by
     two paths; and that every graph edge is covered.  Each failure is named
-    by a residue class mod n.  ``periods``, at least 3, is the window that
-    ``hamdec verify`` reports; it changes neither the outcome nor the work.
+    by a residue class mod n, an edge class by the smallest ``(d, r)`` that
+    fails.  ``periods``, at least 3, is the window that ``hamdec verify``
+    reports; it changes neither the outcome nor the work.
     Over ``MAX_PROGRESSIONS`` progressions, WindowTooLarge is raised at once.
 
     Every check is exact:
@@ -193,7 +195,7 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
       equal, and then they share the whole class;
     * the class ``(d, c)``, d in S+, is covered iff some length-d
       progression has class c.  Degree 2 at all n classes takes n starter
-      edges, so the marks, one ``bytearray(n)`` per length, are made after.
+      edges, so the marks, one ``bytearray(n)`` at a time, are made after.
 
     Acyclicity and connectivity are exact from the starter's ends.  Each
     path ``H`` is the union of its translates ``T_i = starter + i n + o``.
@@ -220,22 +222,21 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
         raise WindowTooLarge(
             f"{progressions} progressions, more than the cap of {MAX_PROGRESSIONS}")
 
-    # One pass: the starter's lengths outside S+, the first path's degrees.
-    marks: dict[int, bytearray | None] = dict.fromkeys(s_plus)
+    # One pass: the starter's lower ends by length, the first path's degrees.
     o, span = cert.offsets[0], min(n, edges + 2)
-    degree, foreign = [0] * span, []
+    degree, starts = [0] * span, {}
     for u, v in cert.starter.edges():
-        if v - u not in marks:
-            foreign.append(v - u)
+        starts.setdefault(v - u, []).append(u)
         c = (u + o) % n
         if c < span:
             degree[c] += 1
         c = (v + o) % n
         if c < span:
             degree[c] += 1
+    foreign = starts.keys() - set(s_plus)
     if foreign:
         d = min(foreign)
-        c = min((u + o) % n for u, v in cert.starter.edges() if v - u == d for o in cert.offsets)
+        c = min((u + o) % n for u in starts[d] for o in cert.offsets)
         return WindowCheck(False, f"length {d}, residue {c} mod {n} is not an edge of the graph")
     if span < n or degree.count(2) < n:
         c = next(c for c, k in enumerate(degree) if k != 2)
@@ -250,25 +251,18 @@ def window_oracle(cert: DecompositionCertificate, periods: int) -> WindowCheck:
     if m > 1:
         return WindowCheck(False, "path is disconnected")
 
-    # Edge-disjoint and covering: a class marked twice, in path then starter
-    # order, is used by two paths; the smallest unmarked class of the first
-    # length with one is not covered.  ``starts`` holds int64s without ``array``.
-    rows, starts = [], memoryview(bytearray(8 * edges)).cast("q")
-    for j, (u, v) in enumerate(cert.starter.edges()):
-        row = marks[v - u]
-        if row is None:
-            row = marks[v - u] = bytearray(n)
-        rows.append(row)
-        starts[j] = u % n
-    for o in cert.offsets:
-        for row, s in zip(rows, starts):
-            c = (s + o) % n
-            if row[c]:
-                d = next(d for d, marked in marks.items() if marked is row)
-                return WindowCheck(False, f"length {d}, residue {c} mod {n} used by two paths")
-            row[c] = 1
-    for d, row in marks.items():
-        c = 0 if row is None else row.find(0)
+    # Edge-disjoint and covering, one row of classes per length: a class used
+    # twice, marked 2, is named before any class left 0, not covered.
+    gap = None
+    for d in s_plus:
+        row = bytearray(n)
+        for u in starts.get(d, ()):
+            for o in cert.offsets:
+                c = (u + o) % n
+                row[c] = 2 if row[c] else 1
+        c = row.find(2)
         if c >= 0:
-            return WindowCheck(False, f"length {d}, residue {c} mod {n} not covered")
-    return WindowCheck(True)
+            return WindowCheck(False, f"length {d}, residue {c} mod {n} used by two paths")
+        if gap is None and (c := row.find(0)) >= 0:
+            gap = f"length {d}, residue {c} mod {n} not covered"
+    return WindowCheck(gap is None, gap)

@@ -371,14 +371,18 @@ def reference_window_oracle(cert: DecompositionCertificate, periods: int) -> Win
             return WindowCheck(False, "path is disconnected")
 
     # Pairwise edge-disjoint, and every graph edge is used exactly once.  The
-    # edges of one class come together, and the slab holds one of each, so
-    # the first edge seen twice lies in the first class used twice.
+    # slab holds an edge of every class, so the smallest (d, r) among the
+    # edges seen twice is the smallest class used twice.
     seen: set[tuple[int, int]] = set()
+    shared = []
     for edges in paths:
         for u, v in edges:
             if (u, v) in seen:
-                return WindowCheck(False, f"length {v - u}, residue {u % n} mod {n} used by two paths")
+                shared.append((v - u, u % n))
             seen.add((u, v))
+    if shared:
+        d, r = min(shared)
+        return WindowCheck(False, f"length {d}, residue {r} mod {n} used by two paths")
     for d in s_plus:
         for r in range(n):
             if (r, r + d) not in seen:

@@ -31,6 +31,7 @@ from hamdec import (
     construct_skip_k,
     construct_walecki_family,
     construct_with_family,
+    errors,
     verify_certificate,
     walecki_path,
     window_oracle,
@@ -405,6 +406,13 @@ class TestShortRefusals:
         certs = [construct_4valent(1, 3), construct_consecutive(5), construct_one_two_c(6),
                  construct_with_family(ConnectionSet([1, 3, 5]))[1]]
         assert all(verify_certificate(cert).accepted for cert in certs)
+
+    def test_format_ints_at_max_listed(self):
+        # ``MAX_LISTED`` values are written in full; one more is cut short.
+        assert errors.MAX_LISTED == 2048
+        full = range(1, 2049)
+        assert errors.format_ints(full) == "{" + ", ".join(map(str, full)) + "}"
+        assert errors.format_ints(range(1, 2050)) == "{1, 2, 3, ..., 2047, 2048, 2049} (2049 values)"
 
     def test_lift_with_a_repeated_magnitude(self):
         a_list = [*range(1, 10**6), 1]
