@@ -16,10 +16,13 @@ uses left are kept in ``order``, sorted by the int key
 ``bisect.insort`` when its larger key passes the next one, and undoing the
 use puts it back at its old index, so a node always finds the order as it
 left it.  Move 2i of a node steps down by ``order[i]`` and move 2i + 1 steps
-up by it; ``cursor`` holds, for each vertex of the path, the move that led
-on from it, and a return to the vertex resumes after that move.  The state
-is ``path``, ``steps`` and ``cursor``, one entry per depth, the order and a
-key per length, so its memory is O(k + m) for m distinct lengths.
+up by it, and one scan over the move indices picks every move: a new vertex
+scans from move 0, the root only its up moves.  ``cursor`` holds, for each
+vertex of the path, the move that led on from it; a return to the vertex
+reads the undone length off the last edge of the path and resumes the scan
+after that move.  The state is ``path`` and ``cursor``, one entry per
+depth, the order and a key per length, so its memory is O(k + m) for m
+distinct lengths.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ STATUS_EXHAUSTED = "exhausted"
 
 # The largest k ``find_path`` searches; its state grows linearly in k, and a
 # cyclic-lift search has k <= MAX_PERIOD / 2 = 500,000.  At the cap the
-# search peaks at 80 MB with 1, 2 or 5 distinct lengths (1x999999,
+# search peaks at 73 MB with 1, 2 or 5 distinct lengths (1x999999,
 # 1x999997,2x2 and 1x999991,2x2,3x2,4x2,5x2; Python 3.11, 2-core host).
 MAX_K = 1_000_000
 # The largest prime ``sweep`` takes: from p = 53 on the multiset count
@@ -106,88 +109,69 @@ def find_path(k: int, lengths: Mapping[int, int] | Iterable[int]) -> SearchOutco
     visited = bytearray(k)
     visited[0] = 1
     path = [0]
-    steps: list[int] = []   # steps[i] is the length of the edge path[i] -> path[i + 1]
     cursor: list[int] = []  # cursor[i] is the move of path[i] that led to path[i + 1]
-    depth = 1
     nodes = 0
     started = time.perf_counter()
 
-    # The root tries only the up moves, the odd ones: a down move lands
+    # The root scans only the up moves, the odd ones: a down move lands
     # above k/2.
-    i = 0
-    d = x = order[0]
-    move = 1
+    w = 0
+    mv = 1
+    stride = 2
     while True:
+        # Scan w's moves from mv on: move 2i steps down by order[i], move
+        # 2i + 1 steps up by it.
+        end = 2 * len(order)
+        while mv < end:
+            d = order[mv >> 1]
+            x = (w + d if mv & 1 else w - d) % k
+            if not visited[x]:
+                break
+            mv += stride
+        else:
+            # No move left: back to the parent.  The undone length goes
+            # back to index mv >> 1, so the parent's order is as it was and
+            # its scan resumes after the move just undone.
+            if len(path) == 1:
+                return SearchOutcome(None, nodes, time.perf_counter() - started)
+            x = path.pop()
+            visited[x] = 0
+            w = path[-1]
+            mv = cursor.pop()
+            d = (x - w) % k if mv & 1 else (w - x) % k
+            i = mv >> 1
+            kd = key[d]
+            key[d] = kd - k
+            if kd >= 0:
+                order.insert(i, d)
+            elif order[i] != d:
+                order.remove(d)
+                order.insert(i, d)
+            stride = 2 if len(path) == 1 else 1
+            mv += stride
+            continue
         # Take the move: d leaves the order, or with uses left moves on to
         # its larger key, unless it still sorts before the next length.
+        # When 2d = k both moves reach x: record the up one, so a return
+        # skips it.
+        if 2 * d == k:
+            mv |= 1
         nodes += 1
         visited[x] = 1
         path.append(x)
-        steps.append(d)
-        cursor.append(move)
-        depth += 1
+        cursor.append(mv)
+        i = mv >> 1
         kd = key[d] = key[d] + k
         if kd >= 0:
             del order[i]
         elif i + 1 < len(order) and key[order[i + 1]] < kd:
             del order[i]
             bisect.insort(order, d, i, key=by_key)
-        if depth == k:
+        if len(path) == k:
             return SearchOutcome(tuple(path), nodes, time.perf_counter() - started)
-        # Find the next move: the first open one of w, else, after each
-        # return to a parent, the first open one after its cursor.
         w = x
-        i = 0
-        while True:
-            for i in range(i, len(order)):
-                d = order[i]
-                x = w - d
-                if x < 0:
-                    x += k
-                if not visited[x]:
-                    # When 2d = k the up move reaches the same vertex: skip it.
-                    move = 2 * i if 2 * d != k else 2 * i + 1
-                    break
-                x = w + d
-                if x >= k:
-                    x -= k
-                if not visited[x]:
-                    move = 2 * i + 1
-                    break
-            else:
-                # No move left: back to the parent.  d goes back to index i,
-                # so the parent's order is as it was and its cursor still
-                # points at the move just undone.
-                depth -= 1
-                visited[path.pop()] = 0
-                d = steps.pop()
-                move = cursor.pop()
-                i = move >> 1
-                kd = key[d]
-                key[d] = kd - k
-                if kd >= 0:
-                    order.insert(i, d)
-                elif order[i] != d:
-                    order.remove(d)
-                    order.insert(i, d)
-                w = path[-1]
-                if depth == 1:  # the root: the next up move is always open
-                    i += 1
-                    if i == len(order):
-                        return SearchOutcome(None, nodes, time.perf_counter() - started)
-                    d = x = order[i]
-                    move = 2 * i + 1
-                    break
-                if not move & 1:  # a down move was undone: its up move is next
-                    x = w + d
-                    if x >= k:
-                        x -= k
-                    if not visited[x]:
-                        move += 1
-                        break
-                i += 1
-                continue
-            break
+        mv = 0
+        stride = 1
 
 
 def is_odd_prime(p: int) -> bool:
@@ -255,13 +239,20 @@ def sweep(p: int, *, sample: int | None = None, seed: int = 0, jobs: int = 1) ->
     """Run find_path over every multiset for an odd prime p (or a seeded sample).
 
     Multisets are enumerated lexicographically; with several workers the
-    searches are distributed one multiset per task and the results are merged
-    back in enumeration order, so the report is identical for any job count.
-    At most ``min(jobs, os.cpu_count(), searches)`` worker processes start.
-    A sample below 1, a p above ``MAX_SWEEP_PRIME``, or more than
-    ``MAX_SWEEP_SEARCHES`` searches raises ValueError before anything is
-    enumerated or drawn.
+    searches are distributed in chunks of ``searches // (workers * 8)``
+    multisets (at least one) and the results are merged back in enumeration
+    order, so the report is identical for any job count.  At most
+    ``min(jobs, os.cpu_count(), searches)`` worker processes start.  A p,
+    sample or jobs that is not an int (or is a bool), a sample below 1, a p
+    above ``MAX_SWEEP_PRIME``, or more than ``MAX_SWEEP_SEARCHES`` searches
+    raises ValueError before anything is enumerated or drawn.
     """
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"p must be an integer, got {p!r}")
+    if sample is not None and (not isinstance(sample, int) or isinstance(sample, bool)):
+        raise ValueError(f"sample must be an integer, got {sample!r}")
+    if not isinstance(jobs, int) or isinstance(jobs, bool):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
     if p > MAX_SWEEP_PRIME:

@@ -139,6 +139,18 @@ class TestFindPath:
             nodes += got.nodes_expanded
         assert nodes == 102990
 
+    @pytest.mark.parametrize("k, lengths, nodes", [
+        (25, {5: 21, 1: 3}, 9109),
+        (35, {7: 30, 1: 4}, 84858),
+        (24, {3: 21, 12: 1, 1: 1}, 1469),  # k even, with the length k/2
+    ])
+    def test_matches_reference_on_deep_exhausted_searches(self, k, lengths, nodes):
+        # Return-heavy searches, far deeper than any exhausted one at k <= 11.
+        got = find_path(k, lengths)
+        want = helpers.reference_find_path(k, lengths)
+        assert (got.witness, got.nodes_expanded) == (want.witness, want.nodes_expanded)
+        assert (got.witness, got.nodes_expanded) == (None, nodes)
+
     def test_long_path_needs_no_recursion(self):
         outcome = find_path(1001, [1] * 1000)
         assert outcome.witness == tuple(range(1001))
@@ -260,6 +272,19 @@ class TestLimits:
         monkeypatch.setattr(buratti, "enumerate_multisets", None)
         with pytest.raises(ValueError, match=f"sample must be at least 1, got {sample}$"):
             sweep(7, sample=sample)
+
+    @pytest.mark.parametrize("p, options, message", [
+        (7.0, {}, "p must be an integer, got 7.0"),
+        (True, {}, "p must be an integer, got True"),
+        (7, {"sample": 2.5}, "sample must be an integer, got 2.5"),
+        (7, {"jobs": None}, "jobs must be an integer, got None"),
+    ])
+    def test_non_int_arguments_refused_before_drawing(self, monkeypatch, p, options, message):
+        monkeypatch.setattr(buratti, "unrank_multiset", None)
+        monkeypatch.setattr(buratti, "enumerate_multisets", None)
+        with pytest.raises(ValueError) as info:
+            sweep(p, **options)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_prime_cap_boundary(self):
         report = sweep(buratti.MAX_SWEEP_PRIME, sample=1, seed=0)

@@ -609,7 +609,7 @@ def test_verify_at_the_period_cap_runs_the_oracle(tmp_path):
 
 
 def test_witness_at_the_search_cap_prints_in_128_mib():
-    # The search for 1x999999 peaks near 81 MB RSS and runs in 88 MiB of
+    # The search for 1x999999 peaks near 73 MB RSS and runs in 80 MiB of
     # address space; a witness built as one string before printing took
     # 129.5 MB and needed 136 MiB.  The printed bytes stay the same.
     env = {**os.environ, "PYTHONPATH": str(Path(hamdec.__file__).parents[1])}
