@@ -243,14 +243,16 @@ def sweep(p: int, *, sample: int | None = None, seed: int = 0, jobs: int = 1) ->
     multisets (at least one) and the results are merged back in enumeration
     order, so the report is identical for any job count.  At most
     ``min(jobs, os.cpu_count(), searches)`` worker processes start.  A p,
-    sample or jobs that is not an int (or is a bool), a sample below 1, a p
-    above ``MAX_SWEEP_PRIME``, or more than ``MAX_SWEEP_SEARCHES`` searches
-    raises ValueError before anything is enumerated or drawn.
+    sample, seed or jobs that is not an int (or is a bool), a sample below
+    1, a p above ``MAX_SWEEP_PRIME``, or more than ``MAX_SWEEP_SEARCHES``
+    searches raises ValueError before anything is enumerated or drawn.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"p must be an integer, got {p!r}")
     if sample is not None and (not isinstance(sample, int) or isinstance(sample, bool)):
         raise ValueError(f"sample must be an integer, got {sample!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not isinstance(jobs, int) or isinstance(jobs, bool):
         raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if sample is not None and sample < 1:

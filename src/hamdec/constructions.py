@@ -5,8 +5,10 @@ it into a certificate, and self-verifies the result through the exact
 verifier before returning: a construction bug raises instead of leaking a
 wrong certificate.  Block chains are assembled with an explicit check that
 every block starts where the previous one ended, so a misread chain fails
-immediately rather than producing a broken path; a run of equal blocks is
-checked at its first start and by its displacement, which fixes the rest.
+immediately rather than producing a broken path; a run of equal steps goes in
+as one block, and the start check of the block after it catches a wrong
+displacement.  The 4-valent walk needs no chain: each of its blocks picks its
+steps by where it starts.
 """
 from __future__ import annotations
 
@@ -96,18 +98,6 @@ class _Chain:
         self.steps += steps
         self.cursor += sum(steps)
 
-    def run(self, starts: range, steps) -> None:
-        """One block of ``steps`` at each start in ``starts``, added as a single block.
-
-        The steps must carry each block to the next start, so only the first
-        start is checked against the cursor; an empty range adds nothing.
-        """
-        if len(starts) > 1 and sum(steps) != starts.step:
-            raise ConstructionError(
-                f"blocks of displacement {sum(steps)} cannot start {starts.step} apart")
-        if starts:
-            self.block(starts[0], tuple(steps) * len(starts))
-
     def path(self) -> FinitePath:
         return FinitePath(accumulate(self.steps, initial=self.start))
 
@@ -124,13 +114,13 @@ def _alternating(magnitudes, *, first_positive: bool) -> list[int]:
 def construct_4valent(a: int, b: int) -> DecompositionCertificate:
     """Certificate for S+ = {a, b} with a < b odd and coprime.
 
-    The starter alternates steps of +a with steps of +-b: a forward block
-    [v, v+a, v+a+b] jumps ahead, then a run of backward blocks [v, v+a, v-b]
-    walks back down in steps of t = b - a until the next forward block's
-    start is reached.  The forward blocks start at i*a mod t for even i < t,
-    and the last one at t.  The resulting path has 2b edges, b of each
-    length, endpoints 0 and 2b, and one vertex per residue class mod 2b.
-    The second Hamilton path is the b-shift of the first.
+    The starter is b two-step blocks from 0, with t = b - a.  A block that
+    starts at or below t steps (a, b) and jumps ahead by a + b; one that
+    starts above t steps (a, -b) and walks back down by t.  So the forward
+    blocks land on i*a mod t for even i < t, and last on t.  The resulting
+    path has 2b edges, b of each length, endpoints 0 and 2b, and one vertex
+    per residue class mod 2b.  The second Hamilton path is the b-shift of
+    the first.
     """
     if not (1 <= a < b):
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
@@ -138,16 +128,16 @@ def construct_4valent(a: int, b: int) -> DecompositionCertificate:
     _check_period(cs.s_plus, "four-valent", 2 * b)
 
     t = b - a
-    starts = [i * a % t for i in range(0, t, 2)] + [t]
     forward, backward = (a, b), (a, -b)
-    chain = _Chain(0)
-    for start, nxt in zip(starts, starts[1:]):
-        chain.block(start, forward)
-        # It lands on t + nxt: start + 2a - nxt is a multiple of t above -t.
-        chain.run(range(start + a + b, nxt, -t), backward)
-    chain.block(t, forward)
-
-    return _certified(cs, 2 * b, chain.path())
+    steps, p = [], 0
+    for _ in range(b):
+        if p <= t:
+            steps += forward
+            p += a + b
+        else:
+            steps += backward
+            p -= t
+    return _certified(cs, 2 * b, FinitePath(accumulate(steps, initial=0)))
 
 
 def _assign_signs(k: int, a_list, residue_steps) -> list[int]:
@@ -340,7 +330,7 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
     c2 = 2 * t
     chain = _Chain(0)
     if t % 2 == 1:
-        chain.run(range(0, t - 2, 2), (1, c2, 1, -c2))
+        chain.block(0, (1, c2, 1, -c2) * ((t - 1) // 2))
         chain.block(t - 1, [2] * ((t + 1) // 2))
         chain.block(c2, [-1] + [-2] * ((t - 1) // 2))
         chain.block(t, (c2,))
@@ -351,13 +341,13 @@ def construct_one_two_c(c: int) -> DecompositionCertificate:
         chain.block(c2, [-1] * (t - 5))
         chain.block(t + 5, (-2, 1, -2, -1, -2))
         if t % 4 == 0:
-            chain.run(range(t - 1, 10, -4), (c2, -2, -c2, -2))
+            chain.block(t - 1, (c2, -2, -c2, -2) * ((t - 8) // 4))
             chain.block(7, (c2, -2, -c2, -1))
-            chain.run(range(4, t - 3, 4), (c2, 2, -c2, 2))
+            chain.block(4, (c2, 2, -c2, 2) * ((t - 4) // 4))
         else:
-            chain.run(range(t - 1, 8, -4), (c2, -2, -c2, -2))
+            chain.block(t - 1, (c2, -2, -c2, -2) * ((t - 6) // 4))
             chain.block(5, (c2, -1, -c2, 2))
-            chain.run(range(6, t - 3, 4), (c2, 2, -c2, 2))
+            chain.block(6, (c2, 2, -c2, 2) * ((t - 6) // 4))
         chain.block(t, (c2,))
     return _certified(cs, 3 * t, chain.path())
 

@@ -278,6 +278,10 @@ class TestLimits:
         (True, {}, "p must be an integer, got True"),
         (7, {"sample": 2.5}, "sample must be an integer, got 2.5"),
         (7, {"jobs": None}, "jobs must be an integer, got None"),
+        (7, {"seed": None}, "seed must be an integer, got None"),
+        (7, {"seed": [1]}, "seed must be an integer, got [1]"),
+        (7, {"seed": True}, "seed must be an integer, got True"),
+        (7, {"seed": 1.5}, "seed must be an integer, got 1.5"),
     ])
     def test_non_int_arguments_refused_before_drawing(self, monkeypatch, p, options, message):
         monkeypatch.setattr(buratti, "unrank_multiset", None)
